@@ -30,7 +30,7 @@ import time
 from benchmarks.conftest import BENCH_CONFIG, record_report
 from repro.baselines import FlashProfile, PottersWheel, XSystem
 from repro.eval.reporting import render_table
-from repro.index import PatternIndex, build_index
+from repro.index import build_index, open_index, save_index
 from repro.service import ValidationService
 from repro.validate.combined import FMDVCombined
 from repro.validate.fmdv import FMDV, NoIndexFMDV
@@ -300,7 +300,6 @@ def test_figure14_cold_start_v2_vs_v3(enterprise_corpus, tmp_path):
     import random as random_module
 
     from repro.index import IndexEntry, PatternIndex
-    from repro.index.store import save_index
 
     sample = [c.values[:60] for c in list(enterprise_corpus.columns())[:240]]
     real = build_index(sample)
@@ -348,8 +347,8 @@ def test_figure14_v2_index_fidelity(enterprise_corpus, tmp_path):
     merged = build_index(sample[0::2]).merge(build_index(sample[1::2]))
 
     out = tmp_path / "index.v2"
-    merged.save_sharded(out, n_shards=8)
-    reloaded = PatternIndex.load(out)
+    save_index(merged, out, format="v2", n_shards=8)
+    reloaded = open_index(out)
 
     # save -> shard -> reload is bit-identical to the in-memory build
     assert dict(reloaded.items()) == dict(merged.items())

@@ -4,18 +4,22 @@ Section 5.3's "pattern analysis": because the offline index enumerates
 every pattern the corpus can generalize into, it doubles as a catalogue of
 the lake's *common domains* — high-coverage, low-FPR patterns like those in
 Figure 3 — plus the distribution statistics of Figure 13.  This example
-builds an index (in parallel, the SCOPE-style map-reduce path) and surfaces
-both, then uses a head domain to auto-tag the columns carrying it.
+builds an index with the streaming pipeline (two scan workers spilling
+sorted runs that merge into mmap-able v3 shards — the SCOPE-style
+map-reduce path), opens it and surfaces both, then uses a head domain to
+auto-tag the columns carrying it.
 
 Run:  python examples/lake_analytics.py
 """
 
 from __future__ import annotations
 
+import tempfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
-from repro import AutoValidateConfig, build_index_parallel
+from repro import AutoValidateConfig, build_index_streaming, open_index
 from repro.datalake import ENTERPRISE_PROFILE, generate_corpus
 from repro.eval.reporting import render_histogram, render_table
 from repro.validate.autotag import AutoTagger
@@ -25,7 +29,15 @@ SEED = 47
 
 def main() -> None:
     lake = generate_corpus(replace(ENTERPRISE_PROFILE, n_tables=100), seed=SEED)
-    index = build_index_parallel(lake.column_values(), corpus_name="lake", workers=2)
+    with tempfile.TemporaryDirectory(prefix="lake-analytics-") as scratch:
+        analyse(lake, Path(scratch) / "lake.v3")
+
+
+def analyse(lake, index_dir: Path) -> None:
+    build_index_streaming(
+        lake.column_values(), index_dir, corpus_name="lake", workers=2, format="v3"
+    )
+    index = open_index(index_dir)
     print(f"indexed {index.meta.columns_scanned} columns -> {len(index)} patterns\n")
 
     # Figure 13(a): pattern frequency by token count.

@@ -10,12 +10,13 @@ Exercises the CLI end to end on a ~50k-value generated lake:
 3. the readiness line's reported `peak_builder_bytes` must respect the
    spill watermark (plus one column's worth of entries — the atomic
    aggregation step),
-4. the streamed output must be byte-identical to a serial
-   `auto-validate index` build of the same corpus,
+4. the streamed output must be byte-identical to the in-process
+   reference `save_index(build_index(columns))` over the same corpus
+   (a second CLI run would exercise the same pipeline twice),
 5. the result must serve lookups through `open_index`.
 
 The index format comes from REPRO_INDEX_FORMAT (the build-matrix sweeps
-v2/v3; v1 cannot stream and falls back to v2 here).
+v2/v3; anything else falls back to v2 here).
 
 Exit code 0 on success; any failure raises (non-zero exit).
 
@@ -52,7 +53,9 @@ def _cli(*args: str) -> str:
 
 
 def main(workdir: str | None = None) -> None:
-    from repro.index.store import default_format, open_index
+    from repro.datalake.io import load_corpus
+    from repro.index.builder import build_index
+    from repro.index.store import default_format, open_index, save_index
 
     format = default_format()
     if format not in ("v2", "v3"):
@@ -84,15 +87,18 @@ def main(workdir: str | None = None) -> None:
         )
         assert n_runs > 1, "watermark never tripped at 4 MiB - corpus too small?"
 
-        serial = root / "serial.idx"
-        _cli("index", "--corpus", str(lake), "--out", str(serial),
-             "--format", format, "--shards", "8")
-        files_a = sorted(p.name for p in serial.iterdir())
+        reference = root / "reference.idx"
+        corpus = load_corpus(lake)
+        save_index(
+            build_index(corpus.column_values(), corpus_name=corpus.name),
+            reference, format=format, n_shards=8,
+        )
+        files_a = sorted(p.name for p in reference.iterdir())
         files_b = sorted(p.name for p in streamed.iterdir())
         assert files_a == files_b, (files_a, files_b)
         for name in files_a:
-            assert (serial / name).read_bytes() == (streamed / name).read_bytes(), (
-                f"streamed shard {name} differs from the serial build"
+            assert (reference / name).read_bytes() == (streamed / name).read_bytes(), (
+                f"streamed shard {name} differs from the in-memory reference"
             )
 
         index = open_index(streamed)

@@ -46,14 +46,12 @@ from repro.index.builder import (
     BuildStats,
     IndexBuilder,
     build_index,
-    build_index_parallel,
     build_index_streaming,
 )
 from repro.index.index import PatternIndex, ShardedPatternIndex
 from repro.index.store import (
     IndexStore,
     MmapShardedPatternIndex,
-    merge_indexes,
     merge_many,
     open_index,
     save_index,
@@ -129,10 +127,8 @@ __all__ = [
     "ValidationRule",
     "ValidationService",
     "build_index",
-    "build_index_parallel",
     "build_index_streaming",
     "BuildStats",
-    "merge_indexes",
     "merge_many",
     "open_index",
     "save_index",

@@ -17,8 +17,8 @@ Three layers, all stable under :data:`API_VERSION`:
   ``to_json``/``from_json``.  Schema reference: ``src/repro/api/WIRE.md``.
 * **Stores** — index persistence behind the runtime-checkable
   :class:`IndexStore` protocol: :func:`open_index` /
-  :func:`save_index` / :func:`merge_indexes` dispatch on the registered
-  format (v1 monolithic, v2 sharded JSON, v3 mmap binary);
+  :func:`save_index` / :func:`merge_many` dispatch on the registered
+  format (v2 sharded JSON, v3 mmap binary; legacy v1 files read-only);
   :func:`register_store` adds third-party layouts.  Byte layout
   reference: ``src/repro/index/FORMAT.md``.
 
@@ -72,7 +72,6 @@ from repro.index.store import (
     IndexStore,
     available_formats,
     get_store,
-    merge_indexes,
     merge_many,
     open_index,
     register_store,
@@ -156,7 +155,6 @@ __all__ = [
     "available_validators",
     "get_store",
     "get_validator",
-    "merge_indexes",
     "merge_many",
     "open_index",
     "register_store",

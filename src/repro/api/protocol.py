@@ -1,7 +1,7 @@
 """The public ``Validator`` protocol — one shape for every inference engine.
 
 Before the facade existed the repo had four ``infer()`` shapes (the FMDV
-family, the hybrid validator's ``HybridResult``, the service layer, and the
+family, the hybrid validator's own result type, the service layer, and the
 baselines' separate ABC).  The protocol collapses them:
 
 * ``name`` — the registry/display name of the validator,

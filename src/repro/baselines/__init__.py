@@ -7,8 +7,7 @@ Every baseline implements the tiny
 FMDV variants and all baselines uniformly.  Through the default
 ``infer``/``fingerprint`` implementations the baselines also satisfy the
 public :class:`repro.api.Validator` protocol and are resolvable via
-:func:`repro.api.get_validator`.  (``Validator`` remains importable from
-here as a deprecated alias of ``BaselineValidator``.)
+:func:`repro.api.get_validator`.
 
 Reimplemented from the descriptions in the paper and the original systems'
 public documentation (see DESIGN.md for the substitution notes):
@@ -23,7 +22,7 @@ public documentation (see DESIGN.md for the substitution notes):
   Auto-Detect style methods (computed in :mod:`repro.eval`).
 """
 
-from repro.baselines.base import BaselineRule, BaselineValidator, FitContext, Validator
+from repro.baselines.base import BaselineRule, BaselineValidator, FitContext
 from repro.baselines.deequ import DeequCat, DeequFra
 from repro.baselines.flashprofile import FlashProfile
 from repro.baselines.grok import Grok
@@ -49,6 +48,5 @@ __all__ = [
     "SchemaMatchingInstance",
     "SchemaMatchingPattern",
     "TFDV",
-    "Validator",
     "XSystem",
 ]

@@ -1,9 +1,8 @@
 """The minimal protocol shared by all validation methods under evaluation.
 
-:class:`BaselineValidator` (historically exported as ``Validator`` — that
-name now belongs to the public :class:`repro.api.Validator` protocol and
-remains here only as a deprecated alias) fits a :class:`BaselineRule` from
-training values.  Baselines also satisfy the public protocol: the default
+:class:`BaselineValidator` fits a :class:`BaselineRule` from training
+values (the bare ``Validator`` name belongs to the public
+:class:`repro.api.Validator` protocol).  Baselines also satisfy the public protocol: the default
 :meth:`BaselineValidator.infer` wraps :meth:`~BaselineValidator.fit` in the
 unified :class:`~repro.validate.result.InferenceResult`, and
 :meth:`BaselineRule.validate` adapts the boolean ``flags`` answer to a
@@ -163,9 +162,3 @@ class BaselineValidator(abc.ABC):
         h.update(f"{type(self).__module__}.{type(self).__qualname__}".encode())
         h.update(self.name.encode("utf-8"))
         return h.hexdigest()
-
-
-#: Deprecated alias — the ``Validator`` name now refers to the public
-#: :class:`repro.api.Validator` protocol.  Kept for one release so external
-#: subclasses keep importing; use :class:`BaselineValidator` instead.
-Validator = BaselineValidator

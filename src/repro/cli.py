@@ -3,18 +3,17 @@
 Installed as the ``auto-validate`` console script::
 
     auto-validate generate --profile enterprise --tables 100 --out lake/
-    auto-validate index    --corpus lake/ --out lake.idx.gz
-    auto-validate index    --corpus lake/ --out lake.idx --shards 16
-    auto-validate index    --corpus lake/ --out lake.v3 --format v3
+    auto-validate index    --corpus lake/ --out lake.idx
+    auto-validate index    --corpus lake/ --out lake.v3 --format v3 --shards 16
     auto-validate index    --corpus lake/ --out lake.v3 --format v3 \
                            --workers 8 --spill-mb 64
     auto-validate merge    --a part-a.v3 --b part-b.v3 --out whole.v3
     auto-validate merge    part-a.v3 part-b.v3 part-c.v3 --out whole.v3
-    auto-validate infer    --index lake.idx.gz --column feed.txt --rule rule.json
+    auto-validate infer    --index lake.idx --column feed.txt --rule rule.json
     auto-validate infer    --index lake.idx --column a.txt b.txt c.txt
     auto-validate validate --rule rule.json --column tomorrow.txt
-    auto-validate tag      --index lake.idx.gz --examples ex.txt --corpus lake/
-    auto-validate watch    --state-dir watch/ --index lake.idx.gz \
+    auto-validate tag      --index lake.idx --examples ex.txt --corpus lake/
+    auto-validate watch    --state-dir watch/ --index lake.idx \
                            --tenant acme --feed orders --register train.json
     auto-validate watch    --state-dir watch/ --tenant acme --feed orders \
                            --once refresh.json
@@ -24,14 +23,16 @@ Installed as the ``auto-validate`` console script::
 Column files are plain text, one value per line.  Rules round-trip as JSON
 (:meth:`repro.validate.rule.ValidationRule.to_dict`).  Index layouts go
 through the pluggable :class:`repro.index.store.IndexStore` registry:
-``--shards`` writes the sharded v2 layout, ``--format v3`` the mmap-able
-binary layout, and ``--index`` auto-detects any of them on read.
-``merge`` combines N same-format indexes shard by shard with a k-way
-heap merge in bounded memory (the distributed-build reduce step), and
-``index --workers N --spill-mb M`` builds with the streaming pipeline:
-workers spill sorted partial runs past the watermark and the runs merge
-straight into the final shards, byte-identical to the serial build
-without ever holding the full pattern dict.  Inference runs through
+``index`` writes the sharded v2 layout or, with ``--format v3``, the
+mmap-able binary layout, and ``--index`` auto-detects either (and the
+legacy read-only v1 file) on read.  ``merge`` combines N same-format
+indexes shard by shard with a k-way heap merge in bounded memory (the
+distributed-build reduce step).  ``index`` always builds with the
+streaming pipeline: the scan (in-process, or ``--workers N`` processes)
+spills sorted partial runs past the ``--spill-mb`` watermark and the
+runs merge straight into the final shards, byte-identical to the
+in-memory reference build without ever holding the full pattern dict.
+Inference runs through
 :class:`repro.service.ValidationService`, so repeated columns inside one
 ``infer`` batch are answered from cache.
 
@@ -73,19 +74,14 @@ from repro.datalake.generator import (
     generate_corpus,
 )
 from repro.datalake.io import load_corpus, save_corpus
-from repro.index.builder import (
-    DEFAULT_SPILL_MB,
-    build_index,
-    build_index_parallel,
-    build_index_streaming,
-)
+from repro.index.builder import DEFAULT_SPILL_MB, build_index_streaming
 from repro.index.index import MAX_SHARDS
 from repro.index.store import (
-    available_formats,
+    FORMAT_ENV,
+    default_format,
     detect_format,
     merge_many,
     open_index,
-    save_index,
 )
 from repro.service import AsyncValidationService, ValidationService
 from repro.server import (
@@ -99,6 +95,8 @@ from repro.validate.rule import ValidationRule
 #: Accepted --variant spellings: every FMDV-family registry name and alias.
 _VARIANTS = tuple(sorted(SOLVER_CLASSES))
 _PROFILES = {"enterprise": ENTERPRISE_PROFILE, "government": GOVERNMENT_PROFILE}
+#: The formats a build can write (the legacy v1 file is read-only).
+_BUILD_FORMATS = ("v2", "v3")
 
 
 def _read_column(path: str) -> list[str]:
@@ -125,21 +123,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _index_layout(args: argparse.Namespace) -> tuple[str, int] | None:
     """Resolve (format, n_shards) from --format/--shards, or None on bad
-    arguments.  --shards without --format keeps the historical meaning:
-    0 = v1 single file, N > 0 = v2 directory with N shards."""
-    if args.shards < 0 or args.shards > MAX_SHARDS:
-        print(f"--shards must be in [0, {MAX_SHARDS}] (0 writes the single-file "
-              "v1 format)", file=sys.stderr)
+    arguments."""
+    if not 1 <= args.shards <= MAX_SHARDS:
+        print(f"--shards must be in [1, {MAX_SHARDS}]", file=sys.stderr)
         return None
-    if args.format is None:
-        format = "v2" if args.shards > 0 else "v1"
-    else:
-        format = args.format
-        if format == "v1" and args.shards > 0:
-            print("--format v1 is a single file; drop --shards", file=sys.stderr)
-            return None
-    n_shards = args.shards if args.shards > 0 else 16
-    return format, n_shards
+    format = args.format or default_format()
+    if format not in _BUILD_FORMATS:
+        print(f"{FORMAT_ENV}={format}: builds write v2 or v3 only (v1 is "
+              "read-only legacy); pass --format", file=sys.stderr)
+        return None
+    return format, args.shards
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
@@ -148,47 +141,32 @@ def _cmd_index(args: argparse.Namespace) -> int:
         return 2
     format, n_shards = layout
     if args.workers < 0:
-        print("--workers must be >= 0 (0 = serial in-memory build)", file=sys.stderr)
+        print("--workers must be >= 0 (0 and 1 scan in-process)", file=sys.stderr)
         return 2
-    if args.workers > 0 and format != "v1" and args.spill_mb <= 0:
+    if args.spill_mb <= 0:
         print("--spill-mb must be positive", file=sys.stderr)
         return 2
-    corpus = load_corpus(args.corpus)
-    if args.workers > 0 and format != "v1":
-        # The streaming bounded-memory pipeline: spill sorted runs past the
-        # watermark, k-way merge them straight into the final shards.
-        stats = build_index_streaming(
-            corpus.column_values(),
-            args.out,
-            corpus_name=corpus.name,
-            workers=args.workers,
-            spill_mb=args.spill_mb,
-            format=format,
-            n_shards=n_shards,
-        )
-        print(
-            f"indexed {stats.columns_scanned} columns -> "
-            f"{stats.total_entries} patterns at {args.out} "
-            f"[{n_shards} shards (format {format}), streamed: "
-            f"workers={args.workers} n_runs={stats.n_runs} "
-            f"peak_builder_bytes={stats.peak_builder_bytes} "
-            f"spill_bytes={stats.spill_bytes}]"
-        )
-        return 0
-    if args.workers > 1:  # v1 has no streaming write: parallel scan, one save
-        index = build_index_parallel(
-            corpus.column_values(), corpus_name=corpus.name, workers=args.workers
-        )
-    else:
-        index = build_index(corpus.column_values(), corpus_name=corpus.name)
-    save_index(index, args.out, format=format, n_shards=n_shards)
-    described = (
-        "single file (format v1)" if format == "v1"
-        else f"{n_shards} shards (format {format})"
+    try:
+        corpus = load_corpus(args.corpus)
+    except FileNotFoundError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    stats = build_index_streaming(
+        corpus.column_values(),
+        args.out,
+        corpus_name=corpus.name,
+        workers=max(1, args.workers),
+        spill_mb=args.spill_mb,
+        format=format,
+        n_shards=n_shards,
     )
     print(
-        f"indexed {index.meta.columns_scanned} columns -> "
-        f"{len(index)} patterns at {args.out} [{described}]"
+        f"indexed {stats.columns_scanned} columns -> "
+        f"{stats.total_entries} patterns at {args.out} "
+        f"[{n_shards} shards (format {format}), streamed: "
+        f"workers={args.workers} n_runs={stats.n_runs} "
+        f"peak_builder_bytes={stats.peak_builder_bytes} "
+        f"spill_bytes={stats.spill_bytes}]"
     )
     return 0
 
@@ -391,10 +369,6 @@ def _cmd_dist_build(args: argparse.Namespace) -> int:
     if layout is None:
         return 2
     format, n_shards = layout
-    if format == "v1":
-        print("dist-build writes directory formats (v2/v3); pass --format",
-              file=sys.stderr)
-        return 2
     if args.resume and not args.journal:
         print("--resume requires --journal DIR (the journal of the killed "
               "build)", file=sys.stderr)
@@ -611,34 +585,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="build the offline pattern index")
     p.add_argument("--corpus", required=True, help="directory of CSV tables")
-    p.add_argument("--out", required=True,
-                   help="output index path (.json.gz file, or directory with --shards)")
-    p.add_argument("--shards", type=int, default=0,
-                   help="shard count for directory formats (with no --format: "
-                        "0 = v1 file, N > 0 = v2 directory)")
-    p.add_argument("--format", choices=sorted(available_formats()), default=None,
-                   help="index store format (v1 = single file, v2 = gzip-JSON "
-                        "shards, v3 = mmap-able binary shards; default v2 when "
-                        "--shards is set, else v1)")
+    p.add_argument("--out", required=True, help="output index directory")
+    p.add_argument("--shards", type=int, default=16,
+                   help="shard count of the index directory (default 16)")
+    p.add_argument("--format", choices=_BUILD_FORMATS, default=None,
+                   help="index store format (v2 = gzip-JSON shards, v3 = "
+                        f"mmap-able binary shards; default ${FORMAT_ENV} "
+                        "or v2)")
     p.add_argument("--workers", type=int, default=0,
-                   help="build with the streaming bounded-memory pipeline "
-                        "across N worker processes (0 = classic serial "
-                        "in-memory build; 1 = stream in-process). Directory "
-                        "formats (v2/v3) only: the monolithic v1 file always "
-                        "builds in memory (with a parallel scan when N > 1)")
+                   help="scan across N spawned worker processes (0 or 1 = "
+                        "scan in-process; the output bytes are identical "
+                        "either way)")
     p.add_argument("--spill-mb", type=float, default=DEFAULT_SPILL_MB,
                    dest="spill_mb",
-                   help="per-worker memory watermark in MiB past which "
-                        f"sorted runs spill to disk (default {DEFAULT_SPILL_MB:g}; "
-                        "only with --workers >= 1)")
+                   help="per-scanner memory watermark in MiB past which "
+                        f"sorted runs spill to disk (default {DEFAULT_SPILL_MB:g})")
     p.set_defaults(fn=_cmd_index)
 
     p = sub.add_parser("merge",
                        help="merge N same-format indexes shard-by-shard with "
                             "a k-way heap merge (bounded memory)")
     p.add_argument("inputs", nargs="*",
-                   help="indexes to merge (two or more; v2/v3 directories "
-                        "with equal shard counts, or v1 files)")
+                   help="indexes to merge (two or more v2/v3 directories "
+                        "with equal shard counts)")
     p.add_argument("--a", help="first index (legacy spelling of the first "
                                "positional input)")
     p.add_argument("--b", help="second index (legacy spelling)")
@@ -666,8 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="serve the /v1 validation API over HTTP")
     p.add_argument("--index", required=True,
-                   help="saved index (any registered format: v1 file, "
-                        "v2/v3 directory)")
+                   help="saved index (any registered format: v2/v3 "
+                        "directory, legacy v1 file)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080,
                    help="listen port (0 picks a free one; see the readiness line)")
@@ -744,8 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output index directory")
     p.add_argument("--shards", type=int, default=16,
                    help="shard count for the final index (default 16)")
-    p.add_argument("--format", choices=sorted(available_formats()), default=None,
-                   help="index store format (v2/v3; default v2)")
+    p.add_argument("--format", choices=_BUILD_FORMATS, default=None,
+                   help=f"index store format (default ${FORMAT_ENV} or v2)")
     p.add_argument("--windows-per-worker", type=int, default=4,
                    dest="windows_per_worker",
                    help="LPT windows per healthy worker (default 4; more "

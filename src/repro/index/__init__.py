@@ -14,7 +14,6 @@ from repro.index.builder import (
     IndexBuilder,
     SpillingIndexBuilder,
     build_index,
-    build_index_parallel,
     build_index_streaming,
 )
 from repro.index.index import (
@@ -40,7 +39,6 @@ from repro.index.store import (
     detect_format,
     get_store,
     iter_run_file,
-    merge_indexes,
     merge_many,
     open_index,
     register_store,
@@ -66,7 +64,6 @@ __all__ = [
     "V3BinaryStore",
     "available_formats",
     "build_index",
-    "build_index_parallel",
     "build_index_streaming",
     "check_merge_compatible",
     "default_format",
@@ -74,7 +71,6 @@ __all__ = [
     "get_store",
     "index_digest",
     "iter_run_file",
-    "merge_indexes",
     "merge_many",
     "open_index",
     "register_store",

@@ -5,22 +5,25 @@ For each column ``D`` the builder enumerates the retained pattern space
 each pattern's local impurity ``Imp_D(p)`` into the global aggregates of
 Definition 3.  The whole scan is a pure aggregation, so large corpora can
 be split across workers and the partials combined — the same shape as the
-paper's SCOPE map-reduce deployment.  Three build regimes are offered:
+paper's SCOPE map-reduce deployment.  There is one reference and one
+pipeline:
 
-* :func:`build_index` — serial, in-memory; the reference everything else
-  must reproduce byte for byte.
-* :func:`build_index_parallel` — a local process pool producing an
-  in-memory :class:`PatternIndex`; columns are packed into LPT
-  weight-balanced chunks by value count so one giant column cannot
-  straggle a worker.
-* :func:`build_index_streaming` — the lake-scale pipeline: columns stream
-  through a spawn-safe pool in size-balanced windows, each worker bounds
-  its resident aggregate by **spilling sorted runs** (v3-layout files,
-  see ``repro.index.store``) past a byte watermark, and the parent k-way
-  heap-merges all runs straight into the final sharded index — the full
-  pattern dict is never materialized anywhere.
+* :func:`build_index` — the in-memory reference: scan every column into
+  one :class:`IndexBuilder` and freeze it.  The property suite and the
+  benchmarks compare every on-disk build against
+  ``save_index(build_index(columns), ...)`` byte for byte.
+* :func:`build_index_streaming` — the way an index reaches disk from
+  columns (``auto-validate index`` always runs it): columns are scanned
+  in-process or streamed through a spawn-safe pool in size-balanced
+  windows, each scanner bounds its resident aggregate by **spilling
+  sorted runs** (v3-layout files, see ``repro.index.store``) past a byte
+  watermark, and the parent k-way heap-merges all runs straight into the
+  final sharded index — the full pattern dict is never materialized
+  anywhere.  The distributed build (``repro.dist``) is the same pipeline
+  with remote scanners: it shares :class:`SpillingIndexBuilder` and
+  :func:`merge_runs_to_index`.
 
-Byte identity across regimes is guaranteed by exact aggregation: the
+Byte identity between the two is guaranteed by exact aggregation: the
 per-column impurities are doubles that are always integer multiples of
 ``2**-105`` (they are computed as ``1.0 - match/n`` from a quotient in
 ``[0, 1]``, so the result is either a Sterbenz-exact difference or a
@@ -38,7 +41,7 @@ import heapq
 import multiprocessing
 import struct
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -52,8 +55,6 @@ from repro.index.index import (
     IndexEntry,
     IndexMeta,
     PatternIndex,
-    _publish_manifest,
-    _remove_stale_shards,
     shard_of,
 )
 
@@ -76,6 +77,10 @@ DEFAULT_SPILL_MB = 64.0
 #: sets consolidate in bounded batches first (exactness makes the extra
 #: merge level free: fixed-point partials add associatively).
 MERGE_FAN_IN = 64
+
+#: Columns the parallel scan materializes per window (the parent never
+#: holds more than this many columns, however large the corpus).
+WINDOW_COLUMNS = 512
 
 
 def impurity_to_fixed(impurity: float) -> int:
@@ -117,6 +122,9 @@ class IndexBuilder:
         self._columns_scanned = 0
         self._values_scanned = 0
         self._group_cache = GroupResultCache()
+        self._resident_bytes = 0
+        #: Peak modelled accumulator footprint observed (across spills).
+        self.peak_resident_bytes = 0
 
     @property
     def sketch_hits(self) -> int:
@@ -138,12 +146,22 @@ class IndexBuilder:
         )
         fpr_fixed = self._fpr_fixed
         coverages = self._coverages
+        resident = self._resident_bytes
         for ps in stats:
             key = ps.pattern.key()
-            fpr_fixed[key] = fpr_fixed.get(key, 0) + impurity_to_fixed(ps.impurity(n))
-            coverages[key] = coverages.get(key, 0) + 1
+            existing = fpr_fixed.get(key)
+            if existing is None:
+                fpr_fixed[key] = impurity_to_fixed(ps.impurity(n))
+                coverages[key] = 1
+                resident += ENTRY_OVERHEAD_BYTES + len(key)
+            else:
+                fpr_fixed[key] = existing + impurity_to_fixed(ps.impurity(n))
+                coverages[key] += 1
+        self._resident_bytes = resident
         self._columns_scanned += 1
         self._values_scanned += n
+        if resident > self.peak_resident_bytes:
+            self.peak_resident_bytes = resident
         return len(stats)
 
     def add_columns(self, columns: Iterable[Sequence[str]]) -> None:
@@ -206,41 +224,15 @@ class SpillingIndexBuilder(IndexBuilder):
         self.run_dir = Path(run_dir)
         self.spill_bytes = spill_bytes
         self.run_prefix = run_prefix
-        self._resident_bytes = 0
         self._run_paths: list[Path] = []
-        #: Peak modelled accumulator footprint observed (across spills).
-        self.peak_resident_bytes = 0
         #: Largest run spilled, in entries.
         self.max_run_entries = 0
 
     def add_column(self, values: Sequence[str]) -> int:
-        n = len(values)
-        if n == 0:
-            return 0
-        stats = enumerate_column_patterns(
-            values, self.config, group_cache=self._group_cache
-        )
-        fpr_fixed = self._fpr_fixed
-        coverages = self._coverages
-        resident = self._resident_bytes
-        for ps in stats:
-            key = ps.pattern.key()
-            existing = fpr_fixed.get(key)
-            if existing is None:
-                fpr_fixed[key] = impurity_to_fixed(ps.impurity(n))
-                coverages[key] = 1
-                resident += ENTRY_OVERHEAD_BYTES + len(key)
-            else:
-                fpr_fixed[key] = existing + impurity_to_fixed(ps.impurity(n))
-                coverages[key] += 1
-        self._resident_bytes = resident
-        self._columns_scanned += 1
-        self._values_scanned += n
-        if resident > self.peak_resident_bytes:
-            self.peak_resident_bytes = resident
-        if resident >= self.spill_bytes:
+        retained = super().add_column(values)
+        if self._resident_bytes >= self.spill_bytes:
             self.spill()
-        return len(stats)
+        return retained
 
     def spill(self) -> Path | None:
         """Write the current partial as a sorted run and clear it."""
@@ -282,64 +274,6 @@ def build_index(
     return builder.build()
 
 
-def _build_shard(
-    columns: list[list[str]], config: EnumerationConfig | None, corpus_name: str
-) -> PatternIndex:
-    return build_index(columns, config, corpus_name)
-
-
-def build_index_parallel(
-    columns: Iterable[Sequence[str]],
-    config: EnumerationConfig | None = None,
-    corpus_name: str = "",
-    workers: int = 2,
-) -> PatternIndex:
-    """Build the index with a local process pool (map-reduce style).
-
-    Columns are packed into ``workers`` LPT weight-balanced chunks by
-    value count (one giant column can no longer straggle a worker while
-    its siblings idle), each chunk is scanned in its own process, and the
-    partial indexes are merged.  ``workers=1`` streams straight through
-    the serial builder without materializing the corpus.  Entry sets and
-    coverages are identical to the serial :func:`build_index`; the float
-    ``fpr_sum`` agrees to the last ulp (partials round once per worker —
-    use :func:`build_index_streaming` when bit-identity matters).
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1:
-        return build_index(columns, config, corpus_name)
-    materialized = [list(c) for c in columns]
-    if len(materialized) < 2 * workers:
-        return build_index(materialized, config, corpus_name)
-
-    from repro.service.parallel import weighted_chunks
-
-    bins = weighted_chunks([len(c) for c in materialized], workers)
-    shards = [[materialized[i] for i in chunk] for chunk in bins]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=len(shards)) as pool:
-        parts = list(
-            pool.map(
-                _build_shard, shards, [config] * len(shards), [corpus_name] * len(shards)
-            )
-        )
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merge(part)
-    # Merging concatenates meta counts correctly, but keep one corpus name.
-    return PatternIndex(
-        dict(merged.items()),
-        IndexMeta(
-            columns_scanned=merged.meta.columns_scanned,
-            values_scanned=merged.meta.values_scanned,
-            tau=merged.meta.tau,
-            min_coverage=merged.meta.min_coverage,
-            corpus_name=corpus_name,
-            fingerprint=merged.meta.fingerprint,
-        ),
-    )
-
-
 # -- the streaming bounded-memory pipeline -------------------------------------
 
 
@@ -372,25 +306,25 @@ class BuildStats:
 
 
 def _scan_chunk_to_runs(
-    columns: list[list[str]],
+    columns: Iterable[Sequence[str]],
     config: EnumerationConfig | None,
     corpus_name: str,
-    run_dir: str,
+    run_dir: Path,
     spill_bytes: int,
     chunk_id: int,
-) -> tuple[list[str], int, int, int, int, int, int]:
-    """Worker task: scan one chunk, spill runs, report what happened."""
+) -> tuple[list[Path], int, int, int, int, int, int]:
+    """Scan one chunk (a pool task, or the whole corpus in-process), spill
+    runs, report what happened."""
     builder = SpillingIndexBuilder(
         config,
         corpus_name,
-        run_dir=Path(run_dir),
+        run_dir=run_dir,
         spill_bytes=spill_bytes,
         run_prefix=f"run-{chunk_id:06d}",
     )
     builder.add_columns(columns)
-    runs = builder.finish()
     return (
-        [str(p) for p in runs],
+        builder.finish(),
         builder.columns_scanned,
         builder.values_scanned,
         builder.peak_resident_bytes,
@@ -587,17 +521,7 @@ def _merge_runs_to_store(
             shard_rows.append(store._write_shard(out, i, entries))
         if spool.entries:
             spool.path.unlink()
-    _remove_stale_shards(out, {row["file"] for row in shard_rows})
-    _publish_manifest(
-        out,
-        {
-            "version": store.format_version,
-            "meta": asdict(meta),
-            "n_shards": n_shards,
-            "shards": shard_rows,
-            "total_entries": total_entries,
-        },
-    )
+    store._commit(out, meta, shard_rows)
     return total_entries, max_resident
 
 
@@ -672,7 +596,6 @@ def _scan_columns_parallel(
     run_dir: Path,
     spill_bytes: int,
     workers: int,
-    window_columns: int,
 ) -> tuple[list[Path], int, int, int, int, int, int]:
     """Stream columns through a spawn pool in size-balanced windows.
 
@@ -685,7 +608,7 @@ def _scan_columns_parallel(
     from repro.service.parallel import weighted_chunks
 
     context = multiprocessing.get_context("spawn")
-    run_paths: list[str] = []
+    run_paths: list[Path] = []
     columns_scanned = values_scanned = 0
     peak_builder = max_run = 0
     sketch_hits = sketch_misses = 0
@@ -709,7 +632,7 @@ def _scan_columns_parallel(
                         [window[i] for i in chunk],
                         config,
                         corpus_name,
-                        str(run_dir),
+                        run_dir,
                         spill_bytes,
                         chunk_id,
                     )
@@ -728,11 +651,11 @@ def _scan_columns_parallel(
 
         for values in columns:
             window.append(list(values))
-            if len(window) >= window_columns:
+            if len(window) >= WINDOW_COLUMNS:
                 flush_window()
         flush_window()
     return (
-        sorted(Path(p) for p in run_paths),
+        sorted(run_paths),
         columns_scanned,
         values_scanned,
         peak_builder,
@@ -752,21 +675,21 @@ def build_index_streaming(
     spill_mb: float = DEFAULT_SPILL_MB,
     format: str | None = None,
     n_shards: int = 16,
-    window_columns: int = 512,
 ) -> BuildStats:
     """Build a sharded on-disk index in bounded memory, optionally parallel.
 
-    The streaming regime of the module doc: scan (spilling sorted runs
-    past the ``spill_mb`` watermark, across ``workers`` spawn processes
-    when ``workers > 1``) then k-way merge the runs directly into the
-    final index directory at ``out``.  The output is byte-identical to
-    ``save_index(build_index(columns), out, ...)`` over the same columns —
-    asserted by the property suite — while peak residency stays bounded by
-    the watermark instead of the corpus's pattern space.
+    The pipeline of the module doc: scan (spilling sorted runs past the
+    ``spill_mb`` watermark; in-process for ``workers=1``, across
+    ``workers`` spawn processes otherwise) then k-way merge the runs
+    directly into the final index directory at ``out``.  The output is
+    byte-identical to ``save_index(build_index(columns), out, ...)`` over
+    the same columns — asserted by the property suite — while peak
+    residency stays bounded by the watermark instead of the corpus's
+    pattern space.
 
     ``format`` must be a directory layout (``v2``/``v3``; default:
-    :func:`repro.index.store.default_format`, with v1 rejected) — a
-    monolithic v1 file is inherently unbounded, use :func:`build_index`.
+    :func:`repro.index.store.default_format`); the legacy v1 file is
+    read-only.
     """
     from repro.index.store import default_format, get_store
 
@@ -781,8 +704,7 @@ def build_index_streaming(
     get_store(format)  # fail early on unknown names
     if format not in ("v2", "v3"):
         raise ValueError(
-            f"streaming build writes directory formats (v2/v3), not {format!r}; "
-            "use build_index + save_index for v1"
+            f"streaming build writes directory formats (v2/v3), not {format!r}"
         )
     config = config or EnumerationConfig()
     out = Path(out)
@@ -792,35 +714,22 @@ def build_index_streaming(
     ) as scratch:
         scratch_dir = Path(scratch)
         if workers == 1:
-            builder = SpillingIndexBuilder(
-                config, corpus_name, run_dir=scratch_dir, spill_bytes=spill_bytes
+            scanned = _scan_chunk_to_runs(
+                columns, config, corpus_name, scratch_dir, spill_bytes, 0
             )
-            builder.add_columns(columns)
-            run_paths = builder.finish()
-            columns_scanned = builder.columns_scanned
-            values_scanned = builder.values_scanned
-            peak_builder = builder.peak_resident_bytes
-            max_run = builder.max_run_entries
-            sketch_hits = builder.sketch_hits
-            sketch_misses = builder.sketch_misses
         else:
-            (
-                run_paths,
-                columns_scanned,
-                values_scanned,
-                peak_builder,
-                max_run,
-                sketch_hits,
-                sketch_misses,
-            ) = _scan_columns_parallel(
-                columns,
-                config,
-                corpus_name,
-                scratch_dir,
-                spill_bytes,
-                workers,
-                window_columns,
+            scanned = _scan_columns_parallel(
+                columns, config, corpus_name, scratch_dir, spill_bytes, workers
             )
+        (
+            run_paths,
+            columns_scanned,
+            values_scanned,
+            peak_builder,
+            max_run,
+            sketch_hits,
+            sketch_misses,
+        ) = scanned
         meta = IndexMeta(
             columns_scanned=columns_scanned,
             values_scanned=values_scanned,
@@ -832,7 +741,6 @@ def build_index_streaming(
         total_entries, max_resident = _merge_runs_to_store(
             run_paths, meta, out, format, n_shards, scratch_dir, spill_bytes
         )
-        n_runs = len(run_paths)
     return BuildStats(
         out=str(out),
         format=format,
@@ -840,7 +748,7 @@ def build_index_streaming(
         columns_scanned=columns_scanned,
         values_scanned=values_scanned,
         total_entries=total_entries,
-        n_runs=n_runs,
+        n_runs=len(run_paths),
         spill_bytes=spill_bytes,
         peak_builder_bytes=peak_builder,
         max_run_entries=max_run,

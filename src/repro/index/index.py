@@ -1,19 +1,17 @@
-"""The pattern index: pattern key → (FPR_T, Cov_T) with statistics and I/O.
+"""The pattern index: pattern key → (FPR_T, Cov_T) with statistics.
 
 Entries store the aggregate *sum* of per-column impurities rather than the
 final average; this keeps indexes mergeable (the map-reduce style build the
 paper runs on a SCOPE cluster corresponds to :meth:`PatternIndex.merge`).
 
-Two on-disk formats are supported (see ``src/repro/index/FORMAT.md``):
-
-* **v1** — a single gzip-compressed JSON blob, written by :meth:`save`.
-  Kept for backward compatibility; :meth:`load` reads it transparently.
-* **v2** — a directory of hash-partitioned shard files plus a JSON
-  manifest, written by :meth:`save_sharded`.  Shards are assigned by
-  CRC-32 of the pattern key (PYTHONHASHSEED-independent), serialized with
-  sorted keys and a zeroed gzip mtime so identical indexes produce
-  byte-identical files, and loaded lazily: a lookup touches only the one
-  shard its key hashes to.
+Persistence lives in :mod:`repro.index.store` (``open_index`` /
+``save_index``; formats in ``src/repro/index/FORMAT.md``).  This module
+holds the in-memory :class:`PatternIndex`, the lazily-loaded **v2** reader
+:class:`ShardedPatternIndex` (a directory of hash-partitioned gzip-JSON
+shards plus a manifest; shards are assigned by CRC-32 of the pattern key,
+PYTHONHASHSEED-independent, and a lookup touches only the one shard its
+key hashes to) and the byte-deterministic write primitives every
+directory-layout store shares.
 
 Merging validates enumeration-knob compatibility: combining indexes built
 with different ``tau``/``min_coverage`` (or, when recorded, different full
@@ -295,7 +293,7 @@ class PatternIndex:
         found.sort(key=lambda item: (-item[1].coverage, item[1].fpr, item[0]))
         return found
 
-    # -- persistence and merging -------------------------------------------
+    # -- merging ------------------------------------------------------------
 
     def merge(self, other: "PatternIndex") -> "PatternIndex":
         """Combine two partial indexes (distributed/offline build support).
@@ -323,107 +321,12 @@ class PatternIndex:
     def _check_merge_compatible(self, other: "PatternIndex") -> None:
         check_merge_compatible(self.meta, other.meta)
 
-    def save(self, path: str | Path) -> None:
-        """Persist to a single gzip-compressed JSON file (format v1)."""
-        self._ensure_all()
-        payload = {
-            "version": _FORMAT_VERSION,
-            "meta": asdict(self.meta),
-            "entries": {
-                key: [entry.fpr_sum, entry.coverage]
-                for key, entry in self._entries.items()
-            },
-        }
-        _write_gzip_json(Path(path), payload)
-
-    def save_sharded(self, path: str | Path, n_shards: int = 16) -> None:
-        """Persist as a format-v2 directory of hash-partitioned shards.
-
-        Output is deterministic: shard assignment is CRC-32 of the pattern
-        key, JSON keys are sorted, and the gzip mtime is zeroed, so saving
-        the same index twice yields byte-identical files.
-        """
-        if not 1 <= n_shards <= MAX_SHARDS:
-            raise ValueError(f"n_shards must be in [1, {MAX_SHARDS}]")
-        self._ensure_all()
-        directory = Path(path)
-        directory.mkdir(parents=True, exist_ok=True)
-        buckets: list[dict[str, list]] = [{} for _ in range(n_shards)]
-        for key, entry in self._entries.items():
-            buckets[shard_of(key, n_shards)][key] = [entry.fpr_sum, entry.coverage]
-        # In-place-rebuild friendliness: overwrite shard files first, delete
-        # leftovers second, publish the manifest last (atomically).  Readers
-        # holding the old manifest detect a mixed snapshot via per-shard
-        # entry counts (StaleIndexError) instead of reading silent garbage.
-        shards = []
-        for i, bucket in enumerate(buckets):
-            name = f"shard-{i:04d}.json.gz"
-            _write_gzip_json(
-                directory / name,
-                {"version": _SHARDED_FORMAT_VERSION, "shard": i, "entries": bucket},
-            )
-            shards.append({"file": name, "entries": len(bucket)})
-        _remove_stale_shards(directory, {s["file"] for s in shards})
-        _publish_manifest(
-            directory,
-            {
-                "version": _SHARDED_FORMAT_VERSION,
-                "meta": asdict(self.meta),
-                "n_shards": n_shards,
-                "shards": shards,
-                "total_entries": len(self._entries),
-            },
-        )
-
-    @classmethod
-    def load(cls, path: str | Path, lazy: bool = True) -> "PatternIndex":
-        """Load an index written by any registered store (v1, v2 or v3).
-
-        A v1 file loads eagerly into a plain :class:`PatternIndex` (the
-        upgrade path: load it and re-save sharded to convert).  A v2
-        directory loads as a :class:`ShardedPatternIndex` whose shards are
-        read on first touch; a v3 directory loads as an mmap-backed
-        :class:`repro.index.store.MmapShardedPatternIndex`.  Pass
-        ``lazy=False`` to materialize everything up front.
-
-        New call sites should prefer :func:`repro.index.store.open_index`,
-        which dispatches through the pluggable :class:`IndexStore` registry;
-        this classmethod is kept as a compatibility shim and goes through
-        the same format detection.
-        """
-        path = Path(path)
-        if path.is_dir():
-            # Delegate directories to the store registry (local import: the
-            # store module imports PatternIndex) so a format registered
-            # tomorrow loads through this shim too.  Plain files stay here:
-            # V1MonolithicStore.open is itself implemented on this method.
-            from repro.index.store import open_index
-
-            return open_index(path, lazy=lazy)
-        try:
-            with gzip.open(path, "rt", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            raise
-        except (OSError, EOFError, zlib.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            # A truncated or garbled gzip stream surfaces as EOFError /
-            # BadGzipFile / zlib.error depending on where the cut falls;
-            # readers get one typed error for all of them.
-            raise ValueError(f"{path} is not a readable v1 index (torn file?): {exc}") from exc
-        if payload.get("version") != _FORMAT_VERSION:
-            raise ValueError(f"unsupported index format: {payload.get('version')!r}")
-        entries = {
-            key: IndexEntry(fpr_sum=float(raw[0]), coverage=int(raw[1]))
-            for key, raw in payload["entries"].items()
-        }
-        return cls(entries, IndexMeta(**payload["meta"]))
-
 
 class ShardedPatternIndex(PatternIndex):
     """A format-v2 index whose shards are loaded on demand.
 
     A key lookup hashes to its shard and loads only that file; whole-index
-    operations (``len``/``keys``/``items``/``stats``/``merge``/``save``)
+    operations (``len``/``keys``/``items``/``stats``/``merge``/``save_index``)
     transparently force the remaining shards in.  ``total_entries`` from
     the manifest answers ``len()`` without touching any shard.
     """

@@ -1,13 +1,12 @@
 """Pluggable index persistence — the :class:`IndexStore` API.
 
-The pattern index is the one artifact every serving path depends on, and
-it outgrew its original trio of ad-hoc methods (``save`` /
-``save_sharded`` / ``load``): each new format meant another method on
-:class:`~repro.index.index.PatternIndex` and another ``isinstance`` fork
-at every call site.  This module replaces that with one runtime-checkable
-protocol and a registry of backends:
+The pattern index is the one artifact every serving path depends on.
+All persistence goes through one runtime-checkable protocol and a
+registry of backends:
 
-* :class:`V1MonolithicStore` — the legacy single gzip-JSON file.
+* :class:`V1MonolithicStore` — the legacy single gzip-JSON file,
+  **read-only**: it opens, streams and digests so old files upgrade with
+  ``save_index(open_index(old), new, format="v3")``, but nothing writes it.
 * :class:`V2ShardedStore` — hash-partitioned gzip-JSON shard directory.
 * :class:`V3BinaryStore` — fixed-width binary shards (sorted key table +
   offset array + packed records + CRC footer) that
@@ -17,22 +16,21 @@ protocol and a registry of backends:
 
 Call sites use the facade instead of concrete classes::
 
-    from repro.index.store import open_index, save_index, merge_indexes
+    from repro.index.store import open_index, save_index, merge_many
 
     index = open_index("lake.idx")            # format auto-detected
     save_index(index, "lake.v3", format="v3") # or REPRO_INDEX_FORMAT
-    merge_indexes("part-a.v3", "part-b.v3", "whole.v3")
     merge_many(["a.v3", "b.v3", "c.v3"], "whole.v3")   # k-way, N inputs
 
-``merge_many`` / :meth:`IndexStore.merge_into` combine equal-shard
-directories shard by shard in bounded memory with a k-way heap merge
-over the key-sorted per-shard streams: at most one merged shard is
-resident at a time, never any full index (the map-reduce regime the
-paper runs on a SCOPE cluster, without the cluster).  The same module
-holds the offline builder's *run-spill* codec (``write_run_file`` /
-``iter_run_file``: v3-layout files with exact fixed-point partials) and
-the streaming shard writer ``write_v3_shard_streaming`` — see
-``src/repro/index/FORMAT.md`` for both contracts.
+``merge_many`` combines equal-shard directories shard by shard in
+bounded memory with a k-way heap merge over the key-sorted per-shard
+streams: at most one merged shard is resident at a time, never any full
+index (the map-reduce regime the paper runs on a SCOPE cluster, without
+the cluster).  The same module holds the offline builder's *run-spill*
+codec (``write_run_file`` / ``iter_run_file``: v3-layout files with exact
+fixed-point partials) and the streaming shard writer
+``write_v3_shard_streaming`` — see ``src/repro/index/FORMAT.md`` for both
+contracts.
 
 Binary shard layout (format v3, little-endian throughout; the full byte
 spec lives in ``src/repro/index/FORMAT.md``)::
@@ -59,7 +57,6 @@ import json
 import mmap
 import os
 import struct
-import tempfile
 import threading
 import zlib
 from dataclasses import asdict, dataclass
@@ -124,17 +121,20 @@ class MergeStats:
     #: Entries streamed from every input via ``iter_entries``.
     entries_read: int
     max_resident_entries: int
-    #: How many indexes were merged (2 for plain ``merge_indexes``).
+    #: How many indexes were merged.
     n_inputs: int = 2
 
 
 @runtime_checkable
 class IndexStore(Protocol):
-    """One on-disk index format: open, write, digest, stream, merge.
+    """One on-disk index format: open, write, digest, stream.
 
     Implementations are stateless (all state lives on disk / in the
     returned index), so one registered instance serves every caller.
-    Third-party formats register with :func:`register_store`.
+    Third-party formats register with :func:`register_store`.  A store
+    that can combine its own files on disk additionally provides
+    ``merge_many(paths, out) -> MergeStats`` (what :func:`merge_many`
+    dispatches to); read-only and unshardable formats leave it out.
     """
 
     #: Registry name (``"v1"``/``"v2"``/``"v3"`` for the built-ins).
@@ -158,16 +158,6 @@ class IndexStore(Protocol):
     def iter_entries(self, path: str | Path) -> Iterator[Entry]:
         """Stream ``(key, fpr_sum, coverage)`` without materializing the
         whole index (at most one shard resident for sharded formats)."""
-        ...
-
-    def merge_into(self, a: str | Path, b: str | Path, out: str | Path) -> MergeStats:
-        """Merge the indexes at ``a`` and ``b`` into ``out`` (same format).
-
-        Stores may additionally provide ``merge_many(paths, out)`` for
-        N-input merges; :func:`merge_many` uses it when present and falls
-        back to pairwise folding otherwise (kept out of the protocol so
-        third-party stores written against v1 of the API stay valid).
-        """
         ...
 
 
@@ -202,8 +192,9 @@ def available_formats() -> list[str]:
 
 def default_format() -> str:
     """The format ``save_index`` uses when none is requested:
-    ``REPRO_INDEX_FORMAT`` when set (the CI store matrix pins it),
-    otherwise ``"v2"``."""
+    ``REPRO_INDEX_FORMAT`` when set (the CI store matrix pins it to v2 or
+    v3; the read-only ``v1`` makes every write fail loudly), otherwise
+    ``"v2"``."""
     env = os.environ.get(FORMAT_ENV, "").strip().lower()
     return env if env in _STORES else "v2"
 
@@ -253,8 +244,7 @@ def open_index(
     """Open an on-disk index through its store (auto-detected by default).
 
     This is the one loading entry point for services, workers, the CLI
-    and the HTTP server; ``PatternIndex.load`` remains as a shim over the
-    same detection.
+    and the HTTP server.
 
     ``prefetch=True`` starts a background page-cache warmer on indexes
     that support it (format v3: a daemon thread walks every shard file
@@ -296,17 +286,6 @@ def store_digest(path: str | Path, *, store: IndexStore | str | None = None) -> 
     return _resolve_store(path, store).digest(path)
 
 
-def merge_indexes(
-    a: str | Path, b: str | Path, out: str | Path, *, store: IndexStore | str | None = None
-) -> MergeStats:
-    """Merge two same-format on-disk indexes into ``out`` via their store.
-
-    For sharded formats (v2/v3) with equal ``n_shards`` this runs shard by
-    shard in bounded memory; the 2-ary spelling of :func:`merge_many`.
-    """
-    return merge_many([a, b], out, store=store)
-
-
 def merge_many(
     paths: Sequence[str | Path], out: str | Path, *, store: IndexStore | str | None = None
 ) -> MergeStats:
@@ -318,8 +297,8 @@ def merge_many(
     *merged shard* (plus one streamed shard per input for v2) is resident —
     never any full index, regardless of how many inputs there are.  Inputs
     built with incompatible enumeration knobs are rejected with an error
-    naming the offending file.  Third-party stores without a ``merge_many``
-    method fall back to pairwise folding through temporary outputs.
+    naming the offending file, and so are formats whose store has no
+    ``merge_many`` (the read-only v1 file: upgrade it first).
     """
     paths = [Path(p) for p in paths]
     if len(paths) < 2:
@@ -335,115 +314,76 @@ def merge_many(
                     "first (open_index + save_index)"
                 )
     impl = getattr(resolved, "merge_many", None)
-    if impl is not None:
-        return impl(paths, out)
-    # Registered store predating merge_many: fold pairwise, intermediate
-    # results in a scratch directory next to the output.  The folds'
-    # stats aggregate so the caller still sees the whole merge: every
-    # entry streamed by any fold counts as read, and the peak residency
-    # is the worst fold's.
-    out = Path(out)
-    stats: MergeStats | None = None
-    entries_read = 0
-    max_resident = 0
-    with tempfile.TemporaryDirectory(
-        prefix=".avmerge-", dir=str(out.parent) or "."
-    ) as scratch:
-        current: Path = paths[0]
-        for i, p in enumerate(paths[1:]):
-            target = out if i == len(paths) - 2 else Path(scratch) / f"fold-{i}"
-            stats = resolved.merge_into(current, p, target)
-            entries_read += stats.entries_read
-            max_resident = max(max_resident, stats.max_resident_entries)
-            current = target
-    assert stats is not None
-    return MergeStats(
-        n_shards=stats.n_shards,
-        total_entries=stats.total_entries,
-        entries_read=entries_read,
-        max_resident_entries=max_resident,
-        n_inputs=len(paths),
-    )
+    if impl is None:
+        raise ValueError(
+            f"{resolved.name} indexes cannot be merged on disk; convert "
+            "them to v2/v3 first (open_index + save_index)"
+        )
+    return impl(paths, out)
 
 
 # -- v1: monolithic gzip-JSON file --------------------------------------------
 
 
 class V1MonolithicStore:
-    """The legacy single-file format (entirely eager, kept for upgrade)."""
+    """The legacy single-file format: entirely eager and **read-only**.
+
+    Kept so old files still open, stream, digest and upgrade
+    (``save_index(open_index(old), new, format="v3")``); nothing writes or
+    merges it any more.
+    """
 
     name = "v1"
     format_version = _FORMAT_VERSION
 
-    def open(self, path: str | Path, lazy: bool = True) -> PatternIndex:
-        path = Path(path)
+    def _read_payload(self, path: Path) -> dict:
         if path.is_dir():
             raise ValueError(f"{path} is a directory, not a v1 index file")
-        return PatternIndex.load(path)
+        try:
+            with gzip.open(path, "rt", encoding="utf-8") as handle:
+                payload: dict = json.load(handle)
+        except FileNotFoundError:
+            raise
+        except (OSError, EOFError, zlib.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            # A truncated or garbled gzip stream surfaces as EOFError /
+            # BadGzipFile / zlib.error depending on where the cut falls;
+            # readers get one typed error for all of them.
+            raise ValueError(f"{path} is not a readable v1 index (torn file?): {exc}") from exc
+        if payload.get("version") != self.format_version:
+            raise ValueError(f"unsupported index format: {payload.get('version')!r}")
+        return payload
+
+    def open(self, path: str | Path, lazy: bool = True) -> PatternIndex:
+        payload = self._read_payload(Path(path))
+        entries = {
+            key: IndexEntry(fpr_sum=float(raw[0]), coverage=int(raw[1]))
+            for key, raw in payload["entries"].items()
+        }
+        return PatternIndex(entries, IndexMeta(**payload["meta"]))
 
     def write(self, index: PatternIndex, path: str | Path, *, n_shards: int = 16) -> None:
-        index.save(path)
+        raise ValueError(
+            "index format v1 is read-only legacy; write v2 or v3 "
+            "(save_index(..., format='v3'))"
+        )
 
     def digest(self, path: str | Path) -> str:
         return index_digest(path)
 
     def iter_entries(self, path: str | Path) -> Iterator[Entry]:
-        try:
-            with gzip.open(Path(path), "rt", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            raise
-        except (OSError, EOFError, zlib.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            # Same typed-error contract as PatternIndex.load: any torn or
-            # garbled gzip stream reads as "not a v1 index", never EOFError.
-            raise ValueError(f"{path} is not a readable v1 index (torn file?): {exc}") from exc
-        if payload.get("version") != self.format_version:
-            raise ValueError(f"unsupported index format: {payload.get('version')!r}")
-        for key in sorted(payload["entries"]):
-            raw = payload["entries"][key]
+        entries = self._read_payload(Path(path))["entries"]
+        for key in sorted(entries):
+            raw = entries[key]
             yield key, float(raw[0]), int(raw[1])
-
-    def merge_into(self, a: str | Path, b: str | Path, out: str | Path) -> MergeStats:
-        return self.merge_many([a, b], out)
-
-    def merge_many(self, paths: Sequence[str | Path], out: str | Path) -> MergeStats:
-        """v1 has no shards: inputs materialize one at a time while the
-        running merge accumulates (documented unbounded memory); prefer
-        converting to v2/v3 for lake-scale merges."""
-        paths = [Path(p) for p in paths]
-        if len(paths) < 2:
-            raise ValueError("merge needs at least two input indexes")
-        if Path(out).resolve() in {p.resolve() for p in paths}:
-            raise ValueError("merge output must not overwrite an input index")
-        merged = self.open(paths[0])
-        entries_read = len(merged)
-        max_resident = len(merged)
-        for p in paths[1:]:
-            part = self.open(p)
-            entries_read += len(part)
-            previous = len(merged)
-            try:
-                merged = merged.merge(part)
-            except ValueError as exc:
-                raise ValueError(f"{p}: {exc}") from None
-            max_resident = max(max_resident, previous + len(part) + len(merged))
-        merged.save(out)
-        return MergeStats(
-            n_shards=1,
-            total_entries=len(merged),
-            entries_read=entries_read,
-            max_resident_entries=max_resident,
-            n_inputs=len(paths),
-        )
 
 
 # -- shared machinery for directory-layout stores ------------------------------
 
 
 class _DirectoryStoreBase:
-    """Manifest handling + the bounded-memory shard merge, shared by every
-    directory-layout store.  Subclasses provide the shard codec
-    (``_iter_shard`` / ``_write_shard`` / ``_shard_file_name``)."""
+    """Manifest handling, the one save path and the bounded-memory shard
+    merge, shared by every directory-layout store.  Subclasses provide the
+    shard codec (``_iter_shard`` / ``_write_shard`` / ``_shard_file_name``)."""
 
     name: str
     format_version: int
@@ -471,8 +411,46 @@ class _DirectoryStoreBase:
         for i in range(int(manifest["n_shards"])):
             yield from self._iter_shard(path, manifest, i)
 
-    def merge_into(self, a: str | Path, b: str | Path, out: str | Path) -> MergeStats:
-        return self.merge_many([a, b], out)
+    def write(self, index: PatternIndex, path: str | Path, *, n_shards: int = 16) -> None:
+        """Persist ``index`` as a directory of hash-partitioned shards.
+
+        Deterministic byte for byte: shard assignment is CRC-32 of the
+        pattern key and every codec sorts its keys and stamps no time, so
+        saving the same index twice yields identical files.
+        """
+        if not 1 <= n_shards <= MAX_SHARDS:
+            raise ValueError(f"n_shards must be in [1, {MAX_SHARDS}]")
+        directory = Path(path)
+        directory.mkdir(parents=True, exist_ok=True)
+        buckets: list[dict[str, tuple[float, int]]] = [{} for _ in range(n_shards)]
+        for key, entry in index.items():
+            buckets[shard_of(key, n_shards)][key] = (entry.fpr_sum, entry.coverage)
+        self._commit(
+            directory,
+            index.meta,
+            [self._write_shard(directory, i, bucket) for i, bucket in enumerate(buckets)],
+        )
+
+    def _commit(self, directory: Path, meta: IndexMeta, shard_rows: list[dict]) -> None:
+        """Make freshly written shards the index at ``directory``.
+
+        In-place-rebuild friendliness: shard files are overwritten first
+        (by the caller), leftovers deleted second, the manifest published
+        last (atomically).  Readers holding the old manifest detect a mixed
+        snapshot via per-shard entry counts (``StaleIndexError``) instead
+        of reading silent garbage.
+        """
+        _remove_stale_shards(directory, {row["file"] for row in shard_rows})
+        _publish_manifest(
+            directory,
+            {
+                "version": self.format_version,
+                "meta": asdict(meta),
+                "n_shards": len(shard_rows),
+                "shards": shard_rows,
+                "total_entries": sum(row["entries"] for row in shard_rows),
+            },
+        )
 
     def merge_many(self, paths: Sequence[str | Path], out: str | Path) -> MergeStats:
         """k-way merge, shard by shard: equal ``n_shards`` means equal hash
@@ -532,17 +510,7 @@ class _DirectoryStoreBase:
             max_resident = max(max_resident, len(entries))
             total_entries += len(entries)
             shard_rows.append(self._write_shard(out, i, entries))
-        _remove_stale_shards(out, {row["file"] for row in shard_rows})
-        _publish_manifest(
-            out,
-            {
-                "version": self.format_version,
-                "meta": asdict(folded),
-                "n_shards": n_shards,
-                "shards": shard_rows,
-                "total_entries": total_entries,
-            },
-        )
+        self._commit(out, folded, shard_rows)
         return MergeStats(
             n_shards=n_shards,
             total_entries=total_entries,
@@ -580,9 +548,6 @@ class V2ShardedStore(_DirectoryStoreBase):
         cleanup_orphans(path)
         self._read_manifest(path)  # fail with a precise error on v1/v3 input
         return ShardedPatternIndex._load(path, lazy=lazy)
-
-    def write(self, index: PatternIndex, path: str | Path, *, n_shards: int = 16) -> None:
-        index.save_sharded(path, n_shards=n_shards)
 
     def _shard_file_name(self, i: int) -> str:
         return f"shard-{i:04d}.json.gz"
@@ -1181,31 +1146,6 @@ class V3BinaryStore(_DirectoryStoreBase):
         cleanup_orphans(path)
         manifest = self._read_manifest(path)
         return MmapShardedPatternIndex._load(path, manifest, lazy=lazy)
-
-    def write(self, index: PatternIndex, path: str | Path, *, n_shards: int = 16) -> None:
-        """Persist as a v3 directory; deterministic byte-for-byte, same
-        write-shards-first / publish-manifest-last crash contract as v2."""
-        if not 1 <= n_shards <= MAX_SHARDS:
-            raise ValueError(f"n_shards must be in [1, {MAX_SHARDS}]")
-        directory = Path(path)
-        directory.mkdir(parents=True, exist_ok=True)
-        buckets: list[dict[str, tuple[float, int]]] = [{} for _ in range(n_shards)]
-        for key, entry in index.items():
-            buckets[shard_of(key, n_shards)][key] = (entry.fpr_sum, entry.coverage)
-        shard_rows = [
-            self._write_shard(directory, i, bucket) for i, bucket in enumerate(buckets)
-        ]
-        _remove_stale_shards(directory, {row["file"] for row in shard_rows})
-        _publish_manifest(
-            directory,
-            {
-                "version": self.format_version,
-                "meta": asdict(index.meta),
-                "n_shards": n_shards,
-                "shards": shard_rows,
-                "total_entries": sum(row["entries"] for row in shard_rows),
-            },
-        )
 
     def _shard_file_name(self, i: int) -> str:
         return f"shard-{i:04d}.bin"

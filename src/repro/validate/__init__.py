@@ -39,7 +39,6 @@ __all__ = [
     "FMDVCombined",
     "FMDVHorizontal",
     "FMDVVertical",
-    "HybridResult",  # deprecated alias, resolved lazily below
     "HybridValidator",
     "InferenceResult",
     "NumericRule",
@@ -51,12 +50,3 @@ __all__ = [
     "rule_from_payload",
     "rule_to_payload",
 ]
-
-
-def __getattr__(name: str):
-    # Deprecated alias: warns via repro.validate.hybrid's own shim.
-    if name == "HybridResult":
-        from repro.validate import hybrid
-
-        return hybrid.HybridResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,16 +17,12 @@ without giving up the pattern variants' precision.
 
 ``infer`` returns the unified
 :class:`~repro.validate.result.InferenceResult` (the ``rule`` field holds
-either a pattern or a dictionary rule; inspect ``.kind``).  The historical
-``HybridResult`` type has been folded into ``InferenceResult`` — importing
-``HybridResult`` from this module still works but emits a
-``DeprecationWarning`` and hands back ``InferenceResult``.
+either a pattern or a dictionary rule; inspect ``.kind``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
 from typing import Sequence
 
 from repro.config import DEFAULT_CONFIG, AutoValidateConfig
@@ -34,19 +30,6 @@ from repro.index.index import PatternIndex
 from repro.validate.combined import FMDVCombined
 from repro.validate.dictionary import DictionaryValidator
 from repro.validate.result import InferenceResult
-
-
-def __getattr__(name: str):
-    # PEP 562 deprecation shim: HybridResult == InferenceResult now.
-    if name == "HybridResult":
-        warnings.warn(
-            "HybridResult has been folded into repro.validate.result."
-            "InferenceResult; import that instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return InferenceResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class HybridValidator:

@@ -2,7 +2,7 @@
 
 Historically each inference engine returned its own result type: the FMDV
 family returned ``InferenceResult`` (pattern rules only), the hybrid
-validator returned ``HybridResult`` (pattern *or* dictionary rule), and the
+validator its own pattern-*or*-dictionary result type, and the
 dictionary/numeric extensions returned bare rules.  The public API facade
 (:mod:`repro.api`) requires one serializable answer shape, so
 :class:`InferenceResult` now carries *any* rule kind:
@@ -12,10 +12,6 @@ dictionary/numeric extensions returned bare rules.  The public API facade
 * ``numeric`` — :class:`~repro.validate.numeric.NumericRule`,
 * ``baseline`` — a fitted :class:`~repro.baselines.base.BaselineRule`,
 * ``none`` — the validator abstained (``rule is None``).
-
-``HybridResult`` is a deprecated alias of this class (see
-:mod:`repro.validate.hybrid`); its ``pattern_rule`` / ``dictionary_rule`` /
-``kind`` accessors live on here so existing call sites keep working.
 
 Wire serialization: :func:`rule_to_payload` / :func:`rule_from_payload`
 round-trip the three serializable rule kinds through plain dicts tagged
@@ -72,16 +68,16 @@ class InferenceResult:
             return "baseline"
         return "unknown"
 
-    # -- HybridResult compatibility accessors --------------------------------
+    # -- per-kind accessors ----------------------------------------------------
 
     @property
     def pattern_rule(self) -> ValidationRule | None:
-        """The rule when it is pattern-based, else None (HybridResult shim)."""
+        """The rule when it is pattern-based, else None."""
         return self.rule if isinstance(self.rule, ValidationRule) else None
 
     @property
     def dictionary_rule(self):
-        """The rule when it is dictionary-based, else None (HybridResult shim)."""
+        """The rule when it is dictionary-based, else None."""
         return self.rule if self.kind == "dictionary" else None
 
     def validate(self, values: Sequence[str]) -> ValidationReport:

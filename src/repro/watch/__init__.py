@@ -50,7 +50,6 @@ from repro.watch.timeseries import (
     TimeSeriesStore,
     TornSummaryError,
     read_day_summary,
-    recover_crc_file,
     write_day_summary,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "WatchRegistry",
     "WatchService",
     "read_day_summary",
-    "recover_crc_file",
     "render_report",
     "write_day_summary",
 ]

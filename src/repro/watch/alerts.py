@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.durability import append_crc_lines, recover_crc_lines
 from repro.validate.rule import dumps_canonical
-from repro.watch.timeseries import append_crc_lines, recover_crc_file
 
 #: Valid ``Alert.kind`` values.
 ALERT_KINDS = ("rule_violation", "baseline_regression", "missed_refresh")
@@ -110,7 +110,7 @@ class AlertLog:
         self.max_alerts = max_alerts
         # Torn tails truncate on reopen; only the newest max_alerts are
         # kept in memory (the file itself is the full audit trail).
-        payloads = recover_crc_file(self.path)
+        payloads = recover_crc_lines(self.path)
         self._alerts = [Alert.from_payload(p) for p in payloads[-max_alerts:]]
 
     def __len__(self) -> int:

@@ -20,7 +20,8 @@ Directory layout (under ``<state_dir>/ts/``)::
 A process killed mid-append leaves a torn tail: a line without the
 trailing newline, with a mangled CRC, or with truncated JSON.  On
 reopen the tail is detected by CRC mismatch and truncated away
-(:func:`read_crc_lines` / :func:`recover_crc_file`); every record that
+(``repro.durability.read_crc_lines`` / ``recover_crc_lines``, the codec
+the alert log and the dist build journal share); every record that
 was fully written survives.  This mirrors the run-file discipline: a
 crash never corrupts published data, it only loses the torn record.
 
@@ -123,49 +124,6 @@ class Observation:
             severity=str(payload.get("severity", "")),
             latency_ms=float(payload.get("latency_ms", 0.0)),
         )
-
-
-# -- CRC-framed NDJSON lines (shared with the alert log) ---------------------
-#
-# The codec itself lives in ``repro.durability`` so the dist build journal
-# shares one implementation; these wrappers keep the historical byte-level
-# signatures (line-as-bytes, trailing newline) that the watch layer and its
-# tests use.
-
-
-def format_crc_line(payload: Mapping[str, Any]) -> bytes:
-    """One self-verifying NDJSON line: ``<crc32:08x> <canonical json>\\n``."""
-    return durability.format_crc_line(dict(payload)).encode("utf-8") + b"\n"
-
-
-def _parse_crc_line(line: bytes) -> dict[str, Any] | None:
-    """Decode one line; None when torn/corrupt (bad CRC, framing, JSON)."""
-    if not line.endswith(b"\n"):
-        return None  # torn tail: the newline is the commit marker
-    return durability.parse_crc_line(line[:-1].decode("utf-8", errors="replace"))
-
-
-def read_crc_lines(path: Path) -> tuple[list[dict[str, Any]], int]:
-    """All valid records plus the byte offset where the first torn/corrupt
-    line starts (== file size when the file is fully intact)."""
-    return durability.read_crc_lines(path)
-
-
-def recover_crc_file(path: Path) -> list[dict[str, Any]]:
-    """Reopen a CRC-framed NDJSON file, truncating any torn tail in place."""
-    return durability.recover_crc_lines(path)
-
-
-def append_crc_lines(path: Path, payloads: Iterable[Mapping[str, Any]]) -> None:
-    """Append records; each line commits atomically at its newline.
-
-    ENOSPC mid-append surfaces as :class:`repro.durability.DurabilityError`
-    after the partial frame is truncated away.
-    """
-    append = [dict(p) for p in payloads]
-    if not append:
-        return
-    durability.append_crc_lines(path, append)
 
 
 # -- binary day summaries ----------------------------------------------------
@@ -297,7 +255,7 @@ class TimeSeriesStore:
         # Crash recovery: sweep orphaned publish temporaries (a crashed
         # summary rewrite), drop any torn WAL tail, learn the day + seq.
         cleanup_orphans(self.root)
-        self._wal_records = recover_crc_file(self.wal_path)
+        self._wal_records = durability.recover_crc_lines(self.wal_path)
         self._wal_day = (
             utc_day(float(self._wal_records[0]["ts"])) if self._wal_records else None
         )
@@ -323,7 +281,7 @@ class TimeSeriesStore:
                 )
             ):
                 self.seal()
-            append_crc_lines(self.wal_path, [observation.to_payload()])
+            durability.append_crc_lines(self.wal_path, [observation.to_payload()])
             self._wal_records.append(observation.to_payload())
             if self._wal_day is None:
                 self._wal_day = day
@@ -369,7 +327,7 @@ class TimeSeriesStore:
         """Every observation, sealed segments first, then the live WAL."""
         out: list[Observation] = []
         for segment in self.segments():
-            payloads, _ = read_crc_lines(segment)
+            payloads, _ = durability.read_crc_lines(segment)
             out.extend(Observation.from_payload(p) for p in payloads)
         out.extend(Observation.from_payload(p) for p in self._wal_records)
         return out

@@ -94,6 +94,14 @@ def small_index(small_corpus_columns):
 
 
 @pytest.fixture(scope="session")
+def v1_index_path() -> Path:
+    """The committed legacy v1 index: bytes from the last v1 *writer* (the
+    format is read-only now).  Ten entries ``v1-key-NN -> (0.25*(N+1),
+    100+N)``, meta ``corpus_name="v1"``.  Read-only: copy before mutating."""
+    return Path(__file__).parent / "data" / "index-v1.json.gz"
+
+
+@pytest.fixture(scope="session")
 def small_config() -> AutoValidateConfig:
     """Coverage threshold scaled to the small test corpus."""
     return AutoValidateConfig(fpr_target=0.1, min_column_coverage=15)

@@ -14,7 +14,6 @@ from repro.api import (
     validator_summary,
 )
 from repro.api.registry import SOLVER_CLASSES
-from repro.baselines.base import BaselineValidator
 from repro.datalake.domains import DOMAIN_REGISTRY
 from repro.service.service import VARIANTS
 from repro.validate.fmdv import FMDV, InferenceResult
@@ -172,11 +171,6 @@ class TestProtocolConformance:
         assert not report.flagged
         assert report.n_test == len(values)
 
-    def test_hybrid_result_is_deprecated_alias(self):
-        with pytest.warns(DeprecationWarning, match="HybridResult"):
-            from repro.validate.hybrid import HybridResult
-        assert HybridResult is InferenceResult
-
     def test_fingerprint_distinguishes_config_and_index(
         self, small_index, small_config
     ):
@@ -191,8 +185,3 @@ class TestProtocolConformance:
         assert a.fingerprint() != c.fingerprint()  # variant differs
         fresh = get_validator("fmdv", index=small_index, config=small_config)
         assert a.fingerprint() == fresh.fingerprint()  # pure function
-
-    def test_baseline_validator_deprecated_alias_still_importable(self):
-        from repro.baselines.base import Validator as LegacyValidator
-
-        assert LegacyValidator is BaselineValidator

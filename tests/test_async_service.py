@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.datalake.domains import DOMAIN_REGISTRY
+from repro.index.store import save_index
 from repro.service import AsyncValidationService, ValidationService
 
 
@@ -117,7 +118,7 @@ def test_async_infer_many_and_validate(service, rng):
 
 def test_from_path_and_stats_passthrough(small_index, small_config, tmp_path):
     out = tmp_path / "async.v2"
-    small_index.save_sharded(out, n_shards=4)
+    save_index(small_index, out, format="v2", n_shards=4)
 
     async def run():
         async_svc = AsyncValidationService.from_path(

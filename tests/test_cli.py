@@ -23,7 +23,7 @@ def workspace(tmp_path_factory):
         "--seed", "3", "--out", str(root / "lake"),
     ]) == 0
     assert main([
-        "index", "--corpus", str(root / "lake"), "--out", str(root / "lake.idx.gz"),
+        "index", "--corpus", str(root / "lake"), "--out", str(root / "lake.base"),
     ]) == 0
 
     spec = get_domain("datetime_slash")
@@ -41,13 +41,13 @@ class TestGenerateAndIndex:
     def test_lake_on_disk(self, workspace):
         csvs = list((workspace / "lake").glob("*.csv"))
         assert len(csvs) == 30
-        assert (workspace / "lake.idx.gz").exists()
+        assert (workspace / "lake.base").exists()
 
 
 class TestInferAndValidate:
     def test_infer_writes_rule(self, workspace, capsys):
         code = main([
-            "infer", "--index", str(workspace / "lake.idx.gz"),
+            "infer", "--index", str(workspace / "lake.base"),
             "--column", str(workspace / "feed.txt"),
             "--rule", str(workspace / "rule.json"),
             "--min-coverage", "5",
@@ -80,7 +80,7 @@ class TestInferAndValidate:
         weird = tmp_path / "weird.txt"
         weird.write_text("⟦a⟧\n⟦b⟧\n")
         code = main([
-            "infer", "--index", str(workspace / "lake.idx.gz"),
+            "infer", "--index", str(workspace / "lake.base"),
             "--column", str(weird),
         ])
         assert code == 1
@@ -88,7 +88,7 @@ class TestInferAndValidate:
     def test_variant_selector(self, workspace, capsys):
         for variant in ("basic", "v", "h", "vh", "cmdv"):
             main([
-                "infer", "--index", str(workspace / "lake.idx.gz"),
+                "infer", "--index", str(workspace / "lake.base"),
                 "--column", str(workspace / "feed.txt"),
                 "--variant", variant, "--min-coverage", "5",
             ])  # must not raise
@@ -98,7 +98,7 @@ class TestShardedIndexAndBatch:
     def test_index_shards_writes_v2_directory(self, workspace, capsys):
         code = main([
             "index", "--corpus", str(workspace / "lake"),
-            "--out", str(workspace / "lake.idx"), "--shards", "8",
+            "--out", str(workspace / "lake.idx"), "--format", "v2", "--shards", "8",
         ])
         assert code == 0
         assert "format v2" in capsys.readouterr().out
@@ -192,13 +192,51 @@ class TestStoreFormatsAndMerge:
         assert main(["infer", "--index", str(workspace / "lake.v3"), *args_tail]) == 0
         assert capsys.readouterr().out == v2_out
 
-    def test_format_v1_with_shards_rejected(self, workspace, capsys):
+    def test_format_v1_rejected(self, workspace, capsys):
+        """v1 is read-only legacy: the parser offers only the live formats."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "index", "--corpus", str(workspace / "lake"),
+                "--out", str(workspace / "x"), "--format", "v1",
+            ])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'v2'" in err and "'v3'" in err
+        assert not (workspace / "x").exists()
+
+    def test_env_selected_v1_rejected(self, workspace, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_INDEX_FORMAT", "v1")
         code = main([
             "index", "--corpus", str(workspace / "lake"),
-            "--out", str(workspace / "x"), "--format", "v1", "--shards", "4",
+            "--out", str(workspace / "x"),
         ])
         assert code == 2
-        assert "--format v1" in capsys.readouterr().err
+        assert "v2 or v3" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
+
+    def test_missing_corpus_is_a_usage_error(self, workspace, tmp_path, capsys):
+        code = main([
+            "index", "--corpus", str(tmp_path / "no-such-lake"),
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "corpus directory not found" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--shards", "0"), ("--spill-mb", "0"), ("--workers", "-1"),
+    ])
+    def test_bad_build_knobs_rejected(self, workspace, tmp_path, capsys, flag, value):
+        """Every knob is validated on every build: there is one pipeline,
+        so no flag combination silently ignores another."""
+        code = main([
+            "index", "--corpus", str(workspace / "lake"),
+            "--out", str(tmp_path / "x"), flag, value,
+        ])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_merge_subcommand(self, workspace, tmp_path, capsys):
         from repro.core.enumeration import EnumerationConfig
@@ -239,7 +277,7 @@ class TestStoreFormatsAndMerge:
 class TestTag:
     def test_tag_sweeps_corpus(self, workspace, capsys):
         code = main([
-            "tag", "--index", str(workspace / "lake.idx.gz"),
+            "tag", "--index", str(workspace / "lake.base"),
             "--examples", str(workspace / "examples.txt"),
             "--corpus", str(workspace / "lake"),
             "--min-coverage", "5",

@@ -13,6 +13,8 @@ from repro.index import (
     PatternIndex,
     ShardedPatternIndex,
     build_index,
+    open_index,
+    save_index,
     shard_of,
 )
 
@@ -81,15 +83,6 @@ class TestLookup:
 
 
 class TestPersistence:
-    def test_save_load_roundtrip(self, small_index, tmp_path):
-        path = tmp_path / "index.json.gz"
-        small_index.save(path)
-        loaded = PatternIndex.load(path)
-        assert len(loaded) == len(small_index)
-        assert loaded.meta == small_index.meta
-        for key, entry in list(small_index.items())[:100]:
-            assert loaded.lookup_key(key) == entry
-
     def test_load_rejects_bad_version(self, tmp_path):
         import gzip
         import json
@@ -98,7 +91,7 @@ class TestPersistence:
         with gzip.open(path, "wt") as fh:
             json.dump({"version": 999, "meta": {}, "entries": {}}, fh)
         with pytest.raises(ValueError):
-            PatternIndex.load(path)
+            open_index(path)
 
 
 class TestShardedPersistence:
@@ -106,8 +99,8 @@ class TestShardedPersistence:
 
     def test_roundtrip_is_bit_identical(self, small_index, tmp_path):
         path = tmp_path / "idx.v2"
-        small_index.save_sharded(path, n_shards=8)
-        loaded = PatternIndex.load(path)
+        save_index(small_index, path, format="v2", n_shards=8)
+        loaded = open_index(path)
         assert isinstance(loaded, ShardedPatternIndex)
         assert len(loaded) == len(small_index)
         assert loaded.meta == small_index.meta
@@ -117,8 +110,8 @@ class TestShardedPersistence:
 
     def test_lazy_lookup_touches_one_shard(self, small_index, tmp_path):
         path = tmp_path / "idx.v2"
-        small_index.save_sharded(path, n_shards=8)
-        loaded = PatternIndex.load(path)
+        save_index(small_index, path, format="v2", n_shards=8)
+        loaded = open_index(path)
         assert loaded.loaded_shard_count == 0
         assert len(loaded) == len(small_index)  # manifest answers len()
         assert loaded.loaded_shard_count == 0
@@ -128,21 +121,21 @@ class TestShardedPersistence:
 
     def test_eager_load(self, small_index, tmp_path):
         path = tmp_path / "idx.v2"
-        small_index.save_sharded(path, n_shards=4)
-        loaded = PatternIndex.load(path, lazy=False)
+        save_index(small_index, path, format="v2", n_shards=4)
+        loaded = open_index(path, lazy=False)
         assert loaded.loaded_shard_count == 4
 
     def test_full_scan_forces_all_shards(self, small_index, tmp_path):
         path = tmp_path / "idx.v2"
-        small_index.save_sharded(path, n_shards=4)
-        loaded = PatternIndex.load(path)
+        save_index(small_index, path, format="v2", n_shards=4)
+        loaded = open_index(path)
         assert dict(loaded.items()) == dict(small_index.items())
         assert loaded.loaded_shard_count == 4
 
     def test_sharded_save_is_deterministic(self, small_index, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        small_index.save_sharded(a, n_shards=8)
-        small_index.save_sharded(b, n_shards=8)
+        save_index(small_index, a, format="v2", n_shards=8)
+        save_index(small_index, b, format="v2", n_shards=8)
         files = sorted(p.name for p in a.iterdir())
         assert files == sorted(p.name for p in b.iterdir())
         for name in files:
@@ -150,25 +143,24 @@ class TestShardedPersistence:
 
     def test_resave_with_fewer_shards_removes_stale_files(self, small_index, tmp_path):
         path = tmp_path / "idx.v2"
-        small_index.save_sharded(path, n_shards=16)
-        small_index.save_sharded(path, n_shards=4)
+        save_index(small_index, path, format="v2", n_shards=16)
+        save_index(small_index, path, format="v2", n_shards=4)
         assert len(list(path.glob("shard-*.json.gz"))) == 4
-        assert dict(PatternIndex.load(path).items()) == dict(small_index.items())
+        assert dict(open_index(path).items()) == dict(small_index.items())
 
     def test_shard_assignment_is_stable(self):
         assert shard_of("D1|C::|D2", 16) == shard_of("D1|C::|D2", 16)
         assert 0 <= shard_of("anything", 7) < 7
 
-    def test_v1_upgrade_path(self, small_index, tmp_path):
-        """Load a v1 file, re-save sharded, reload — nothing changes."""
-        v1 = tmp_path / "idx.json.gz"
-        small_index.save(v1)
-        upgraded = PatternIndex.load(v1)
+    def test_v1_upgrade_path(self, v1_index_path, tmp_path):
+        """Load a legacy v1 file, re-save sharded, reload — nothing changes."""
+        legacy = open_index(v1_index_path)
         v2 = tmp_path / "idx.v2"
-        upgraded.save_sharded(v2, n_shards=8)
-        reloaded = PatternIndex.load(v2)
-        assert dict(reloaded.items()) == dict(small_index.items())
-        assert reloaded.meta == small_index.meta
+        save_index(legacy, v2, format="v2", n_shards=8)
+        reloaded = open_index(v2)
+        assert len(reloaded) == 10
+        assert dict(reloaded.items()) == dict(legacy.items())
+        assert reloaded.meta == legacy.meta
 
     def test_bad_manifest_version_rejected(self, tmp_path):
         import json
@@ -181,20 +173,20 @@ class TestShardedPersistence:
                         "total_entries": 0})
         )
         with pytest.raises(ValueError):
-            PatternIndex.load(path)
+            open_index(path)
 
     def test_directory_without_manifest_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            PatternIndex.load(tmp_path)
+            open_index(tmp_path)
 
     def test_invalid_shard_count_rejected(self, small_index, tmp_path):
         with pytest.raises(ValueError):
-            small_index.save_sharded(tmp_path / "x", n_shards=0)
+            save_index(small_index, tmp_path / "x", format="v2", n_shards=0)
 
     def test_stats_memoized(self, small_index, tmp_path):
         path = tmp_path / "idx.v2"
-        small_index.save_sharded(path, n_shards=4)
-        loaded = PatternIndex.load(path)
+        save_index(small_index, path, format="v2", n_shards=4)
+        loaded = open_index(path)
         first = loaded.stats()
         assert loaded.stats() is first  # computed once
         assert first.total_patterns == len(small_index)
@@ -225,9 +217,9 @@ class TestMergeCompatibility:
     def test_fingerprint_recorded_and_survives_roundtrip(self, tmp_path):
         index = build_index([_col("1:23")])
         assert index.meta.fingerprint == EnumerationConfig().fingerprint()
-        path = tmp_path / "idx.json.gz"
-        index.save(path)
-        assert PatternIndex.load(path).meta.fingerprint == index.meta.fingerprint
+        path = tmp_path / "idx"
+        save_index(index, path)
+        assert open_index(path).meta.fingerprint == index.meta.fingerprint
 
     def test_unstamped_legacy_index_still_merges(self):
         """v1 files written before the fingerprint existed load with an
@@ -293,56 +285,3 @@ class TestStats:
 class TestEntry:
     def test_zero_coverage_fpr_is_one(self):
         assert IndexEntry(fpr_sum=0.0, coverage=0).fpr == 1.0
-
-
-class TestParallelBuild:
-    def test_parallel_matches_serial(self):
-        columns = [[f"{i}:{j:02d}" for j in range(20)] for i in range(12)]
-        columns += [["ab-cd"] * 15 for _ in range(6)]
-        from repro.index.builder import build_index_parallel
-
-        serial = build_index(columns, corpus_name="x")
-        parallel = build_index_parallel(columns, corpus_name="x", workers=2)
-        assert len(parallel) == len(serial)
-        assert parallel.meta.columns_scanned == serial.meta.columns_scanned
-        assert parallel.meta.corpus_name == "x"
-        for key, entry in serial.items():
-            other = parallel.lookup_key(key)
-            assert other is not None
-            assert other.coverage == entry.coverage
-            assert abs(other.fpr_sum - entry.fpr_sum) < 1e-9
-
-    def test_single_worker_falls_back(self):
-        from repro.index.builder import build_index_parallel
-
-        columns = [["1:23"] * 5]
-        index = build_index_parallel(columns, workers=1)
-        assert len(index) > 0
-
-    def test_worker_validation(self):
-        from repro.index.builder import build_index_parallel
-
-        with pytest.raises(ValueError):
-            build_index_parallel([], workers=0)
-
-    def test_parallel_equals_serial_on_sharded_v2_output(self, tmp_path):
-        """The map-reduce build and the serial build must agree after a
-        v2 save/reload round trip (shard partitioning included)."""
-        from repro.index.builder import build_index_parallel
-
-        columns = [[f"{i}:{j:02d}" for j in range(20)] for i in range(12)]
-        columns += [["ab-cd"] * 15 for _ in range(6)]
-        serial = build_index(columns, corpus_name="x")
-        parallel = build_index_parallel(columns, corpus_name="x", workers=2)
-
-        serial.save_sharded(tmp_path / "serial", n_shards=8)
-        parallel.save_sharded(tmp_path / "parallel", n_shards=8)
-        serial_loaded = PatternIndex.load(tmp_path / "serial")
-        parallel_loaded = PatternIndex.load(tmp_path / "parallel")
-
-        assert set(serial_loaded.keys()) == set(parallel_loaded.keys())
-        for key, entry in serial_loaded.items():
-            other = parallel_loaded.lookup_key(key)
-            assert other.coverage == entry.coverage
-            # float sums may differ in the last ulp between addition orders
-            assert other.fpr_sum == pytest.approx(entry.fpr_sum, abs=1e-12)

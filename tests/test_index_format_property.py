@@ -3,7 +3,7 @@
 Seeded-random generation (deterministic, no external dependency): arbitrary
 entry sets — including unicode keys, keys containing the ``|``/``\\``
 metacharacters of the canonical encoding, empty indexes and shard counts
-that leave shards empty — must survive ``save_sharded`` →
+that leave shards empty — must survive ``save_index`` →
 ``ShardedPatternIndex`` load with identical lookups, ``stats()`` and
 byte-identical re-saves.
 """
@@ -23,6 +23,7 @@ from repro.index.index import (
     index_digest,
     shard_of,
 )
+from repro.index.store import open_index, save_index
 
 #: Alphabets the key generator draws from: ASCII-ish pattern-key material,
 #: encoding metacharacters, and unicode well outside latin-1.
@@ -65,9 +66,9 @@ def test_roundtrip_preserves_lookups_and_stats(tmp_path, n_shards, seed):
     rng = random.Random(1000 * seed + n_shards)
     index = _random_index(rng, rng.randint(1, 120))
     out = tmp_path / "idx.v2"
-    index.save_sharded(out, n_shards=n_shards)
+    save_index(index, out, format="v2", n_shards=n_shards)
 
-    reloaded = PatternIndex.load(out)
+    reloaded = open_index(out)
     assert isinstance(reloaded, ShardedPatternIndex)
 
     # Lazy per-key lookups agree entry by entry...
@@ -96,8 +97,8 @@ def test_roundtrip_with_empty_shards(tmp_path, seed):
     rng = random.Random(seed)
     index = _random_index(rng, 3)
     out = tmp_path / "sparse.v2"
-    index.save_sharded(out, n_shards=16)
-    reloaded = PatternIndex.load(out, lazy=False)
+    save_index(index, out, format="v2", n_shards=16)
+    reloaded = open_index(out, lazy=False)
     assert dict(reloaded.items()) == dict(index.items())
     assert reloaded.loaded_shard_count == 16
     occupied = {shard_of(k, 16) for k in index.keys()}
@@ -107,8 +108,8 @@ def test_roundtrip_with_empty_shards(tmp_path, seed):
 def test_roundtrip_empty_index(tmp_path):
     index = PatternIndex({}, IndexMeta())
     out = tmp_path / "empty.v2"
-    index.save_sharded(out, n_shards=4)
-    reloaded = PatternIndex.load(out)
+    save_index(index, out, format="v2", n_shards=4)
+    reloaded = open_index(out)
     assert len(reloaded) == 0
     assert reloaded.items() == []
     assert reloaded.stats().total_patterns == 0
@@ -122,8 +123,8 @@ def test_resave_is_byte_identical_and_digest_stable(tmp_path, seed):
     rng = random.Random(seed)
     index = _random_index(rng, 40)
     a, b = tmp_path / "a.v2", tmp_path / "b.v2"
-    index.save_sharded(a, n_shards=4)
-    PatternIndex.load(a).save_sharded(b, n_shards=4)
+    save_index(index, a, format="v2", n_shards=4)
+    save_index(open_index(a), b, format="v2", n_shards=4)
     files_a = sorted(p.name for p in a.iterdir())
     files_b = sorted(p.name for p in b.iterdir())
     assert files_a == files_b
@@ -145,8 +146,8 @@ class TestStaleShardDetection:
     def test_missing_shard_file_raises_stale(self, tmp_path):
         index = _random_index(random.Random(40), 50)
         out = tmp_path / "idx.v2"
-        index.save_sharded(out, n_shards=4)
-        lazy = PatternIndex.load(out)
+        save_index(index, out, format="v2", n_shards=4)
+        lazy = open_index(out)
         (out / "shard-0002.json.gz").unlink()
         key = self._key_in_shard(index, 4, 2)
         with pytest.raises(StaleIndexError):
@@ -155,10 +156,10 @@ class TestStaleShardDetection:
     def test_rewritten_shard_with_old_manifest_raises_stale(self, tmp_path):
         old = _random_index(random.Random(41), 60)
         out = tmp_path / "idx.v2"
-        old.save_sharded(out, n_shards=4)
-        lazy = PatternIndex.load(out)  # holds the OLD manifest
+        save_index(old, out, format="v2", n_shards=4)
+        lazy = open_index(out)  # holds the OLD manifest
         # In-place rebuild with clearly different content (3 entries).
-        _random_index(random.Random(42), 3).save_sharded(out, n_shards=4)
+        save_index(_random_index(random.Random(42), 3), out, format="v2", n_shards=4)
         probe = 0  # old index: 60 entries over 4 shards -> every count differs
         key = self._key_in_shard(old, 4, probe)
         with pytest.raises(StaleIndexError):
@@ -167,8 +168,8 @@ class TestStaleShardDetection:
     def test_truncated_shard_file_raises_stale(self, tmp_path):
         index = _random_index(random.Random(43), 50)
         out = tmp_path / "idx.v2"
-        index.save_sharded(out, n_shards=2)
-        lazy = PatternIndex.load(out)
+        save_index(index, out, format="v2", n_shards=2)
+        lazy = open_index(out)
         shard = out / "shard-0001.json.gz"
         shard.write_bytes(shard.read_bytes()[:10])  # torn mid-write
         key = self._key_in_shard(index, 2, 1)

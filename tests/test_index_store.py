@@ -1,11 +1,12 @@
 """Tests for the pluggable IndexStore API (repro.index.store).
 
 Covers the format matrix the CI ``store-matrix`` job sweeps: property
-round-trips across v1 -> v2 -> v3 conversions (byte-stable re-saves,
-unicode keys, empty shards), the mmap-backed v3 reader (no dict
-materialization, StaleIndexError on torn reads, CRC on full loads), the
-bounded-memory shard merge (``merge_into`` equivalent to the in-memory
-``merge``), and the store registry/facade.
+round-trips across v2 -> v3 conversions (byte-stable re-saves, unicode
+keys, empty shards), the read-only legacy v1 reader (against a committed
+fixture: detect, open, stream, digest, upgrade; every write refused), the
+mmap-backed v3 reader (no dict materialization, StaleIndexError on torn
+reads, CRC on full loads), the bounded-memory shard merge (``merge_many``
+equivalent to the in-memory ``merge``), and the store registry/facade.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.index.store import (
     default_format,
     detect_format,
     get_store,
-    merge_indexes,
+    merge_many,
     open_index,
     register_store,
     save_index,
@@ -106,10 +107,8 @@ class TestRegistry:
 
     def test_detect_format(self, tmp_path):
         index = _random_index(random.Random(0), 20)
-        save_index(index, tmp_path / "a.gz", format="v1")
         save_index(index, tmp_path / "b", format="v2", n_shards=4)
         save_index(index, tmp_path / "c", format="v3", n_shards=4)
-        assert detect_format(tmp_path / "a.gz") == "v1"
         assert detect_format(tmp_path / "b") == "v2"
         assert detect_format(tmp_path / "c") == "v3"
 
@@ -129,14 +128,14 @@ class TestRegistry:
         assert default_format() == "v2"
 
     def test_save_index_uses_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FORMAT_ENV, "v1")
+        monkeypatch.setenv(FORMAT_ENV, "v3")
         index = _random_index(random.Random(1), 10)
         save_index(index, tmp_path / "idx")
-        assert detect_format(tmp_path / "idx") == "v1"
+        assert detect_format(tmp_path / "idx") == "v3"
 
     def test_store_digest_matches_index_digest(self, tmp_path):
         index = _random_index(random.Random(2), 15)
-        for format, name in (("v1", "a.gz"), ("v2", "b"), ("v3", "c")):
+        for format, name in (("v2", "b"), ("v3", "c")):
             save_index(index, tmp_path / name, format=format, n_shards=2)
             assert store_digest(tmp_path / name) == index_digest(tmp_path / name)
 
@@ -144,7 +143,7 @@ class TestRegistry:
 # -- the format matrix: round trips under every store --------------------------
 
 
-@pytest.mark.parametrize("format", ["v1", "v2", "v3"])
+@pytest.mark.parametrize("format", ["v2", "v3"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_roundtrip_preserves_everything(tmp_path, format, seed):
     """The env-selected CI matrix: every format round-trips arbitrary
@@ -170,14 +169,12 @@ def test_roundtrip_preserves_everything(tmp_path, format, seed):
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5, 6])
-def test_conversion_chain_v1_v2_v3_is_lossless(tmp_path, seed):
+def test_conversion_chain_v2_v3_is_lossless(tmp_path, seed):
     """The migration path: open each format, save as the next, and the
     final v3 index still matches the original bit for bit."""
     rng = random.Random(seed)
     original = _random_index(rng, rng.randint(1, 150))
-    save_index(original, tmp_path / "v1.gz", format="v1")
-    v1 = open_index(tmp_path / "v1.gz")
-    save_index(v1, tmp_path / "v2", format="v2", n_shards=8)
+    save_index(original, tmp_path / "v2", format="v2", n_shards=8)
     v2 = open_index(tmp_path / "v2")
     assert isinstance(v2, ShardedPatternIndex)
     save_index(v2, tmp_path / "v3", format="v3", n_shards=8)
@@ -188,7 +185,7 @@ def test_conversion_chain_v1_v2_v3_is_lossless(tmp_path, seed):
     assert v3.stats() == original.stats()
 
 
-@pytest.mark.parametrize("format", ["v1", "v2", "v3"])
+@pytest.mark.parametrize("format", ["v2", "v3"])
 def test_resave_is_byte_identical(tmp_path, format):
     """Determinism property for every store: the same index saved twice
     (and saved again after a reload) produces identical bytes, so content
@@ -198,15 +195,12 @@ def test_resave_is_byte_identical(tmp_path, format):
     save_index(index, a, format=format, n_shards=4)
     save_index(index, b, format=format, n_shards=4)
     save_index(open_index(a, lazy=False), c, format=format, n_shards=4)
-    if a.is_dir():
-        names = sorted(p.name for p in a.iterdir())
-        assert names == sorted(p.name for p in b.iterdir())
-        assert names == sorted(p.name for p in c.iterdir())
-        for name in names:
-            assert (a / name).read_bytes() == (b / name).read_bytes()
-            assert (a / name).read_bytes() == (c / name).read_bytes()
-    else:
-        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert names == sorted(p.name for p in c.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert (a / name).read_bytes() == (c / name).read_bytes()
     assert store_digest(a) == store_digest(b) == store_digest(c)
 
 
@@ -242,11 +236,73 @@ def test_cross_format_resave_removes_other_formats_shards(tmp_path):
 def test_iter_entries_streams_every_format(tmp_path):
     index = _random_index(random.Random(70), 80)
     expected = {key: (e.fpr_sum, e.coverage) for key, e in index.items()}
-    for format, name in (("v1", "a.gz"), ("v2", "b"), ("v3", "c")):
+    for format, name in (("v2", "b"), ("v3", "c")):
         save_index(index, tmp_path / name, format=format, n_shards=8)
         store = get_store(format)
         streamed = {key: (fpr, cov) for key, fpr, cov in store.iter_entries(tmp_path / name)}
         assert streamed == expected, format
+
+
+# -- the read-only legacy v1 file ----------------------------------------------
+
+
+class TestLegacyV1:
+    """v1 is read-only: the committed fixture (bytes from the last v1
+    writer) must keep opening, streaming, digesting and upgrading, and
+    every way of *writing* v1 must fail naming the live formats."""
+
+    ENTRIES = {
+        f"v1-key-{i:02d}": IndexEntry(fpr_sum=0.25 * (i + 1), coverage=100 + i)
+        for i in range(10)
+    }
+    META = IndexMeta(
+        columns_scanned=10, values_scanned=500, corpus_name="v1",
+        fingerprint="tau=13;test",
+    )
+
+    def test_detect_format(self, v1_index_path):
+        assert detect_format(v1_index_path) == "v1"
+
+    def test_open_index_entries_and_meta(self, v1_index_path):
+        index = open_index(v1_index_path)
+        assert type(index) is PatternIndex
+        assert dict(index.items()) == self.ENTRIES
+        assert index.meta == self.META
+
+    def test_iter_entries_streams_sorted(self, v1_index_path):
+        streamed = list(get_store("v1").iter_entries(v1_index_path))
+        assert streamed == [
+            (key, e.fpr_sum, e.coverage) for key, e in sorted(self.ENTRIES.items())
+        ]
+
+    def test_store_digest_matches_index_digest(self, v1_index_path):
+        assert store_digest(v1_index_path) == index_digest(v1_index_path)
+
+    def test_upgrade_to_v3(self, v1_index_path, tmp_path):
+        """The documented two-line upgrade."""
+        save_index(open_index(v1_index_path), tmp_path / "up", format="v3")
+        upgraded = open_index(tmp_path / "up")
+        assert isinstance(upgraded, MmapShardedPatternIndex)
+        assert dict(upgraded.items()) == self.ENTRIES
+        assert upgraded.meta == self.META
+
+    def test_explicit_v1_write_refused(self, tmp_path):
+        index = PatternIndex(dict(self.ENTRIES), self.META)
+        with pytest.raises(ValueError, match="v2 or v3"):
+            save_index(index, tmp_path / "idx.gz", format="v1")
+        assert not (tmp_path / "idx.gz").exists()
+
+    def test_env_selected_v1_write_refused(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(FORMAT_ENV, "v1")
+        index = PatternIndex(dict(self.ENTRIES), self.META)
+        with pytest.raises(ValueError, match="v2 or v3"):
+            save_index(index, tmp_path / "idx")
+        assert not (tmp_path / "idx").exists()
+
+    def test_merge_refused_with_upgrade_pointer(self, v1_index_path, tmp_path):
+        with pytest.raises(ValueError, match="v2/v3"):
+            merge_many([v1_index_path, v1_index_path], tmp_path / "out.gz")
+        assert not (tmp_path / "out.gz").exists()
 
 
 # -- the mmap-backed v3 reader -------------------------------------------------
@@ -378,7 +434,7 @@ class TestV3StaleReads:
 # -- bounded-memory shard merge ------------------------------------------------
 
 
-class TestMergeInto:
+class TestMergeMany:
     def _pair(self, seed_a=200, seed_b=201, n=400):
         rng_a, rng_b = random.Random(seed_a), random.Random(seed_b)
         a = _random_index(rng_a, n)
@@ -398,7 +454,7 @@ class TestMergeInto:
         a, b = self._pair()
         save_index(a, tmp_path / "a", format=format, n_shards=16)
         save_index(b, tmp_path / "b", format=format, n_shards=16)
-        stats = merge_indexes(tmp_path / "a", tmp_path / "b", tmp_path / "out")
+        stats = merge_many([tmp_path / "a", tmp_path / "b"], tmp_path / "out")
         expected = a.merge(b)
         merged = open_index(tmp_path / "out")
         assert detect_format(tmp_path / "out") == format
@@ -415,7 +471,7 @@ class TestMergeInto:
         a, b = self._pair()
         save_index(a, tmp_path / "a", format=format, n_shards=16)
         save_index(b, tmp_path / "b", format=format, n_shards=16)
-        stats = merge_indexes(tmp_path / "a", tmp_path / "b", tmp_path / "out")
+        stats = merge_many([tmp_path / "a", tmp_path / "b"], tmp_path / "out")
         assert stats.n_shards == 16
         assert stats.max_resident_entries < len(a)
         assert stats.max_resident_entries < len(b)
@@ -435,40 +491,31 @@ class TestMergeInto:
         tracemalloc.stop()
 
         tracemalloc.start()
-        merge_indexes(tmp_path / "a", tmp_path / "b", tmp_path / "out")
+        merge_many([tmp_path / "a", tmp_path / "b"], tmp_path / "out")
         _, merge_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert merge_peak < full_peak
-
-    def test_v1_merge_into_materializes_but_works(self, tmp_path):
-        a, b = self._pair(n=50)
-        save_index(a, tmp_path / "a.gz", format="v1")
-        save_index(b, tmp_path / "b.gz", format="v1")
-        stats = merge_indexes(tmp_path / "a.gz", tmp_path / "b.gz", tmp_path / "out.gz")
-        expected = a.merge(b)
-        assert dict(open_index(tmp_path / "out.gz").items()) == dict(expected.items())
-        assert stats.n_shards == 1
 
     def test_mismatched_shard_counts_rejected(self, tmp_path):
         a, b = self._pair(n=50)
         save_index(a, tmp_path / "a", format="v3", n_shards=8)
         save_index(b, tmp_path / "b", format="v3", n_shards=16)
         with pytest.raises(ValueError, match="n_shards"):
-            merge_indexes(tmp_path / "a", tmp_path / "b", tmp_path / "out")
+            merge_many([tmp_path / "a", tmp_path / "b"], tmp_path / "out")
 
     def test_mixed_formats_rejected(self, tmp_path):
         a, b = self._pair(n=50)
         save_index(a, tmp_path / "a", format="v2", n_shards=8)
         save_index(b, tmp_path / "b", format="v3", n_shards=8)
         with pytest.raises(ValueError, match="mixed"):
-            merge_indexes(tmp_path / "a", tmp_path / "b", tmp_path / "out")
+            merge_many([tmp_path / "a", tmp_path / "b"], tmp_path / "out")
 
     def test_output_must_not_overwrite_an_input(self, tmp_path):
         a, b = self._pair(n=50)
         save_index(a, tmp_path / "a", format="v3", n_shards=8)
         save_index(b, tmp_path / "b", format="v3", n_shards=8)
         with pytest.raises(ValueError, match="overwrite"):
-            merge_indexes(tmp_path / "a", tmp_path / "b", tmp_path / "a")
+            merge_many([tmp_path / "a", tmp_path / "b"], tmp_path / "a")
 
     def test_incompatible_knobs_rejected_shard_level(self, tmp_path):
         a = build_index([["1:23"] * 10], EnumerationConfig(tau=13))
@@ -476,7 +523,7 @@ class TestMergeInto:
         save_index(a, tmp_path / "a", format="v3", n_shards=4)
         save_index(b, tmp_path / "b", format="v3", n_shards=4)
         with pytest.raises(ValueError, match="tau"):
-            merge_indexes(tmp_path / "a", tmp_path / "b", tmp_path / "out")
+            merge_many([tmp_path / "a", tmp_path / "b"], tmp_path / "out")
 
 
 class TestMergeErrorMessages:

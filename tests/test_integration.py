@@ -10,8 +10,9 @@ import pytest
 from repro import (
     AutoValidateConfig,
     FMDVCombined,
-    PatternIndex,
     build_index,
+    open_index,
+    save_index,
 )
 from repro.datalake import ENTERPRISE_PROFILE, generate_corpus, load_corpus, save_corpus
 from repro.datalake.domains import DOMAIN_REGISTRY
@@ -43,8 +44,8 @@ class TestDiskRoundtripFlow:
         loaded = load_corpus(tmp_path / "lake")
 
         index = build_index(loaded.column_values(), corpus_name=loaded.name)
-        index.save(tmp_path / "lake.idx.gz")
-        restored = PatternIndex.load(tmp_path / "lake.idx.gz")
+        save_index(index, tmp_path / "lake.idx")
+        restored = open_index(tmp_path / "lake.idx")
 
         rng = random.Random(1)
         spec = DOMAIN_REGISTRY["datetime_slash"]
@@ -53,8 +54,8 @@ class TestDiskRoundtripFlow:
         assert not result.rule.validate(spec.sample_many(rng, 200)).flagged
 
     def test_saved_index_produces_identical_rules(self, lake_index, config, tmp_path):
-        lake_index.save(tmp_path / "i.gz")
-        restored = PatternIndex.load(tmp_path / "i.gz")
+        save_index(lake_index, tmp_path / "i")
+        restored = open_index(tmp_path / "i")
         rng = random.Random(2)
         for domain in ("locale_lower", "currency_usd", "guid"):
             train = DOMAIN_REGISTRY[domain].sample_many(rng, 30)

@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.datalake.domains import DOMAIN_REGISTRY
+from repro.index.store import open_index, save_index
 from repro.service import ValidationService
 from repro.service.parallel import ParallelExecutor, chunk_slices, index_spec_for
 
@@ -117,11 +118,9 @@ class TestIndexSpec:
             assert isinstance(fpr_sum, float) and isinstance(coverage, int)
 
     def test_disk_index_ships_path(self, small_index, tmp_path):
-        from repro.index.index import PatternIndex
-
         out = tmp_path / "idx.v2"
-        small_index.save_sharded(out, n_shards=4)
-        spec = index_spec_for(PatternIndex.load(out))
+        save_index(small_index, out, format="v2", n_shards=4)
+        spec = index_spec_for(open_index(out))
         assert spec == ("path", str(out))
 
 
@@ -231,7 +230,7 @@ class TestDiskBackedParallel:
     ):
         """Workers re-open the v2 directory; no shard state is pickled."""
         out = tmp_path / "disk.v2"
-        small_index.save_sharded(out, n_shards=8)
+        save_index(small_index, out, format="v2", n_shards=8)
         service = ValidationService.from_path(
             out, small_config, variant="fmdv",
             workers=2, min_batch_for_parallel=2, parallel_backend="auto",

@@ -23,6 +23,7 @@ from repro.api.wire import (
     ValidateResponse,
 )
 from repro.datalake.domains import DOMAIN_REGISTRY
+from repro.index.store import save_index
 from repro.server.http import ValidationHTTPServer
 from repro.server.ratelimit import TenantRateLimiter, TokenBucket
 from repro.service import AsyncValidationService, ValidationService
@@ -650,7 +651,7 @@ class TestAdminConfig:
 def saved_index(small_index, tmp_path_factory):
     root = tmp_path_factory.mktemp("serve")
     path = root / "lake.idx"
-    small_index.save_sharded(path, n_shards=4)
+    save_index(small_index, path, format="v2", n_shards=4)
     return path
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.enumeration import EnumerationConfig
 from repro.datalake.domains import DOMAIN_REGISTRY
-from repro.index import build_index
+from repro.index import build_index, save_index
 from repro.service import (
     HypothesisSpaceCache,
     ServiceStats,
@@ -258,7 +258,7 @@ class TestCacheGenerations:
         index = build_index(
             columns, EnumerationConfig(min_coverage=0.1), corpus_name="gen-test"
         )
-        index.save_sharded(path, n_shards=n_shards)
+        save_index(index, path, format="v2", n_shards=n_shards)
         return index
 
     def test_rebuild_on_disk_invalidates_stale_entries(
@@ -301,21 +301,36 @@ class TestCacheGenerations:
         assert stats.invalidations == 0
         assert stats.result_cache_hits == 1
 
-    def test_rebuild_to_v1_file_is_watched_too(
+    def test_replaced_legacy_v1_file_is_watched_too(
         self, small_corpus_columns, small_config, tmp_path
     ):
+        """Nothing in the repo writes v1 any more, but a served legacy file
+        can still be swapped underneath the service by whoever owns it."""
+        import gzip
+        import json
+        from dataclasses import asdict
+
+        def write_legacy(index, path):
+            payload = {
+                "version": 1,
+                "meta": asdict(index.meta),
+                "entries": {k: [e.fpr_sum, e.coverage] for k, e in index.items()},
+            }
+            with gzip.open(path, "wt", encoding="utf-8") as handle:
+                json.dump(payload, handle, sort_keys=True)
+
         path = tmp_path / "watched.idx.gz"
         index = build_index(
             small_corpus_columns, EnumerationConfig(min_coverage=0.1)
         )
-        index.save(path)
+        write_legacy(index, path)
         service = ValidationService.from_path(path, small_config, variant="fmdv")
         first = service.infer(_column("phone_us", 32))
         rebuilt = build_index(
             small_corpus_columns[: len(small_corpus_columns) // 2],
             EnumerationConfig(min_coverage=0.1),
         )
-        rebuilt.save(path)
+        write_legacy(rebuilt, path)
         second = service.infer(_column("phone_us", 32))
         assert second is not first
         assert service.stats().invalidations == 1

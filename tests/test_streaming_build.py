@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,6 @@ from repro.index.builder import (
     ENTRY_OVERHEAD_BYTES,
     SpillingIndexBuilder,
     build_index,
-    build_index_parallel,
     build_index_streaming,
     impurity_to_fixed,
 )
@@ -46,7 +46,7 @@ FAST = EnumerationConfig(max_patterns=256)
 
 def _build_format() -> str:
     """The directory format under test: honours REPRO_INDEX_FORMAT (the CI
-    build-matrix pins v2/v3); v1 cannot stream, so it falls back to v2."""
+    build-matrix pins v2/v3); anything else falls back to v2."""
     format = default_format()
     return format if format in ("v2", "v3") else "v2"
 
@@ -112,9 +112,12 @@ class TestStreamedBuildByteIdentity:
         assert reloaded.meta.columns_scanned == stats.columns_scanned
 
     @pytest.mark.parametrize("seed", [7, 8])
-    def test_spawn_pool_stream_matches_reference(self, tmp_path, seed):
+    def test_spawn_pool_stream_matches_reference(self, tmp_path, seed, monkeypatch):
         """Two spawn workers, small windows: chunking must not leak into
         the output bytes (exact fixed-point aggregation)."""
+        import repro.index.builder as builder_module
+
+        monkeypatch.setattr(builder_module, "WINDOW_COLUMNS", 7)
         rng = random.Random(seed)
         columns = _random_columns(rng) * 2
         format = _build_format()
@@ -127,7 +130,6 @@ class TestStreamedBuildByteIdentity:
         build_index_streaming(
             columns, streamed, FAST, corpus_name="prop",
             workers=2, spill_mb=0.005, format=format, n_shards=4,
-            window_columns=7,
         )
         _assert_dirs_byte_identical(reference, streamed)
 
@@ -164,8 +166,43 @@ class TestStreamedBuildByteIdentity:
         assert index.lookup_key("anything") is None
 
     def test_v1_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="v1"):
+        with pytest.raises(ValueError, match=r"v2/v3.*v1"):
             build_index_streaming([["1:23"]], tmp_path / "x", format="v1")
+
+    @pytest.mark.parametrize("format", ["v2", "v3"])
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_cli_matches_reference(self, cli_lake, tmp_path, format, workers):
+        """``auto-validate index`` has one build path: at every worker
+        count (tiny watermark, so several runs merge) the directory is
+        file-for-file what ``save_index(build_index(columns))`` writes."""
+        from repro.cli import main
+
+        lake, references = cli_lake
+        out = tmp_path / "cli"
+        assert main([
+            "index", "--corpus", str(lake), "--out", str(out),
+            "--format", format, "--shards", "4",
+            "--workers", str(workers), "--spill-mb", "0.05",
+        ]) == 0
+        _assert_dirs_byte_identical(references[format], out)
+
+
+@pytest.fixture(scope="module")
+def cli_lake(tmp_path_factory):
+    """A small on-disk lake plus its in-memory reference build per format."""
+    from repro.datalake import load_corpus
+    from repro.datalake.generator import ENTERPRISE_PROFILE, generate_corpus
+    from repro.datalake.io import save_corpus
+
+    root = tmp_path_factory.mktemp("cli-lake")
+    lake = root / "lake"
+    save_corpus(generate_corpus(replace(ENTERPRISE_PROFILE, n_tables=6), seed=11), lake)
+    corpus = load_corpus(lake)
+    index = build_index(corpus.column_values(), corpus_name=corpus.name)
+    references = {format: root / f"reference-{format}" for format in ("v2", "v3")}
+    for format, path in references.items():
+        save_index(index, path, format=format, n_shards=4)
+    return lake, references
 
 
 class TestSpillResidency:
@@ -304,20 +341,6 @@ class TestMergeMany:
         # Bounded: the peak is one merged shard, not the union.
         assert stats.max_resident_entries <= stats.total_entries
 
-    def test_five_way_v1(self, tmp_path):
-        parts = _indexes_for_merge(5)
-        paths = []
-        for i, part in enumerate(parts):
-            path = tmp_path / f"part-{i}.gz"
-            save_index(part, path, format="v1")
-            paths.append(path)
-        stats = merge_many(paths, tmp_path / "whole.gz")
-        expected = parts[0]
-        for part in parts[1:]:
-            expected = expected.merge(part)
-        assert dict(open_index(tmp_path / "whole.gz").items()) == dict(expected.items())
-        assert stats.n_inputs == 5 and stats.n_shards == 1
-
     def test_incompatible_fingerprint_names_the_file(self, tmp_path):
         a = build_index([["1:23"] * 10], EnumerationConfig(max_patterns=256))
         b = build_index([["4:56"] * 10], EnumerationConfig(max_patterns=256))
@@ -407,12 +430,11 @@ class TestPrefetch:
         index.start_prefetch().join(timeout=30)
         assert index.mapped_shard_count <= 1
 
-    def test_prefetch_flag_is_noop_for_other_formats(self, tmp_path):
+    def test_prefetch_flag_is_noop_for_other_formats(self, tmp_path, v1_index_path):
         index = build_index([["1:23"] * 10], FAST)
         save_index(index, tmp_path / "idx.v2", format="v2", n_shards=4)
-        save_index(index, tmp_path / "idx.gz", format="v1")
         assert len(open_index(tmp_path / "idx.v2", prefetch=True)) == len(index)
-        assert len(open_index(tmp_path / "idx.gz", prefetch=True)) == len(index)
+        assert len(open_index(v1_index_path, prefetch=True)) == 10
 
     def test_service_from_path_prefetch(self, tmp_path):
         from repro.service import ValidationService
@@ -431,28 +453,34 @@ class TestPrefetch:
         assert args.prefetch is True
 
 
-class TestParallelBuilderBalancing:
-    def test_workers_one_accepts_a_generator(self):
+class TestParallelScanBalancing:
+    def test_workers_one_accepts_a_generator(self, tmp_path):
         """workers=1 must stream, not materialize: a one-shot generator is
         consumed exactly once and never list()-ed up front."""
         columns = (c for c in [["1:23"] * 5, ["4:56"] * 5])
-        index = build_index_parallel(columns, FAST, workers=1)
-        assert len(index) > 0
+        stats = build_index_streaming(
+            columns, tmp_path / "idx", FAST, workers=1,
+            format=_build_format(), n_shards=2,
+        )
+        assert stats.columns_scanned == 2 and stats.total_entries > 0
 
-    def test_skewed_batch_matches_serial(self):
+    def test_skewed_batch_matches_reference(self, tmp_path):
         """One giant column among many small ones: LPT chunking must not
         change the result (and no worker gets the giant plus everything)."""
         rng = random.Random(5)
         columns = [[f"{rng.randint(0, 9)}:{rng.randint(0, 59):02d}"
                     for _ in range(8)] for _ in range(11)]
         columns.insert(3, [f"{i % 24}:{i % 60:02d}" for i in range(900)])
-        serial = build_index(columns, FAST, corpus_name="skew")
-        parallel = build_index_parallel(columns, FAST, corpus_name="skew", workers=2)
-        assert len(parallel) == len(serial)
-        for key, entry in serial.items():
-            other = parallel.lookup_key(key)
-            assert other is not None and other.coverage == entry.coverage
-            assert other.fpr_sum == pytest.approx(entry.fpr_sum, abs=1e-12)
+        format = _build_format()
+        save_index(
+            build_index(columns, FAST, corpus_name="skew"),
+            tmp_path / "reference", format=format, n_shards=4,
+        )
+        build_index_streaming(
+            columns, tmp_path / "streamed", FAST, corpus_name="skew",
+            workers=2, format=format, n_shards=4,
+        )
+        _assert_dirs_byte_identical(tmp_path / "reference", tmp_path / "streamed")
 
 
 class TestFixedPointExactness:

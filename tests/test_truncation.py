@@ -124,9 +124,10 @@ def _sweep_directory(directory: Path, reader: Callable[[], Any]) -> None:
 
 
 class TestIndexTruncation:
-    def test_v1_file(self, tmp_path):
+    def test_v1_file(self, tmp_path, v1_index_path):
+        # v1 is read-only: sweep a copy of the committed legacy fixture.
         path = tmp_path / "index-v1.json.gz"
-        save_index(_index("v1"), path, format="v1")
+        path.write_bytes(v1_index_path.read_bytes())
         _sweep_file(path, lambda: dict(open_index(path).items()))
 
     @pytest.mark.parametrize("fmt", ["v2", "v3"])

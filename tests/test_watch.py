@@ -31,6 +31,7 @@ from repro.api.wire import (
     WatchStatusResponse,
     WireError,
 )
+from repro.durability import format_crc_line, read_crc_lines, recover_crc_lines
 from repro.monitor import DEFAULT_MAX_HISTORY, ColumnAlert, FeedMonitor, FeedReport
 from repro.validate.dictionary import DictionaryRule
 from repro.validate.result import InferenceResult
@@ -49,17 +50,11 @@ from repro.watch import (
     WatchRegistry,
     WatchService,
     read_day_summary,
-    recover_crc_file,
     render_report,
     write_day_summary,
 )
 from repro.watch.registry import FeedState
-from repro.watch.timeseries import (
-    DayStat,
-    format_crc_line,
-    read_crc_lines,
-    utc_day,
-)
+from repro.watch.timeseries import DayStat, utc_day
 
 N_SEEDS = 30
 
@@ -248,11 +243,16 @@ class TestColumnBaseline:
 # -- CRC-framed NDJSON + the time-series store ---------------------------------
 
 
+def _frame(payload: dict) -> bytes:
+    """One committed WAL line: the framed record plus its newline."""
+    return format_crc_line(payload).encode("utf-8") + b"\n"
+
+
 class TestCrcFraming:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "log.ndjson"
         payloads = [{"i": i, "s": f"v{i}"} for i in range(5)]
-        path.write_bytes(b"".join(format_crc_line(p) for p in payloads))
+        path.write_bytes(b"".join(_frame(p) for p in payloads))
         records, valid = read_crc_lines(path)
         assert records == payloads
         assert valid == path.stat().st_size
@@ -261,17 +261,17 @@ class TestCrcFraming:
     def test_torn_tail_is_truncated_on_reopen(self, tmp_path, damage):
         path = tmp_path / "log.ndjson"
         payloads = [{"i": i} for i in range(4)]
-        data = b"".join(format_crc_line(p) for p in payloads)
+        data = b"".join(_frame(p) for p in payloads)
         if damage == "torn":        # crash mid-write: last line half-flushed
-            data += format_crc_line({"i": 4})[:-7]
+            data += _frame({"i": 4})[:-7]
         elif damage == "flipped":   # bit rot inside a framed line
-            tail = bytearray(format_crc_line({"i": 4}))
+            tail = bytearray(_frame({"i": 4}))
             tail[-3] ^= 0xFF
             data += bytes(tail)
         else:                       # stray bytes with no frame at all
             data += b"not a crc line\n"
         path.write_bytes(data)
-        assert recover_crc_file(path) == payloads
+        assert recover_crc_lines(path) == payloads
         # The truncation happened in place: a fresh read sees a clean file.
         records, valid = read_crc_lines(path)
         assert records == payloads and valid == path.stat().st_size
