@@ -56,7 +56,6 @@ from repro.index.store import (
     open_index,
     save_index,
 )
-from repro.monitor import FeedMonitor, FeedReport
 from repro.service import (
     AsyncValidationService,
     HypothesisSpaceCache,
@@ -105,8 +104,6 @@ __all__ = [
     "FMDVCombined",
     "FMDVHorizontal",
     "FMDVVertical",
-    "FeedMonitor",
-    "FeedReport",
     "HybridValidator",
     "HypothesisSpaceCache",
     "NumericValidator",

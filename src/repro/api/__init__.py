@@ -30,11 +30,10 @@ Quickstart::
     result = v.infer(train_values)          # unified InferenceResult
     wire = result.to_json()                 # lossless round-trip
 
-The monitoring surface is re-exported here too: the in-process loop
-(:class:`FeedMonitor` / :class:`FeedReport` / :class:`ColumnAlert`), its
-long-running service form (:class:`WatchService`, :class:`Alert`, the
-``Watch*`` wire envelopes), and the watch HTTP edge
-(:class:`WatchHTTPServer`).  The watch classes resolve lazily (PEP 562):
+The monitoring surface is re-exported here too: the loop itself
+(:class:`WatchService`, :class:`Alert`, the ``Watch*`` wire envelopes)
+and its HTTP edge (:class:`WatchHTTPServer`).  The watch classes resolve
+lazily (PEP 562):
 ``repro.watch`` imports ``repro.api.wire``, so an eager import here would
 be circular — and the facade stays cheap to import for users who never
 monitor anything.
@@ -67,7 +66,6 @@ from repro.api.wire import (
     WatchStatusResponse,
     WireError,
 )
-from repro.monitor import ColumnAlert, FeedMonitor, FeedReport
 from repro.index.store import (
     IndexStore,
     available_formats,
@@ -124,11 +122,8 @@ __all__ = [
     "AlertLog",
     "BaselineDecision",
     "BatchEnvelope",
-    "ColumnAlert",
     "ColumnBaseline",
     "ErrorResponse",
-    "FeedMonitor",
-    "FeedReport",
     "IndexStore",
     "InferRequest",
     "InferResponse",

@@ -513,7 +513,7 @@ class WatchRegisterRequest(_WatchFeedEnvelope):
     past it.  ``null`` means ad hoc (no freshness checks).  Re-registering
     an existing feed re-learns the supplied columns and resets their
     baselines — the confirmed-upstream-change path
-    (``FeedMonitor.relearn`` semantics).
+    (``WatchService.relearn`` semantics).
     """
 
     wire_type: ClassVar[str] = "watch_register_request"

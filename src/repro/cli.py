@@ -99,6 +99,17 @@ _PROFILES = {"enterprise": ENTERPRISE_PROFILE, "government": GOVERNMENT_PROFILE}
 _BUILD_FORMATS = ("v2", "v3")
 
 
+def _missing_input(args: argparse.Namespace) -> str | None:
+    """The "... not found" line for the first path the command reads (its
+    parser's ``reads``: argument -> what it names) that is not there."""
+    for dest, what in getattr(args, "reads", {}).items():
+        value = getattr(args, dest)
+        for path in value if isinstance(value, list) else [value]:
+            if path is not None and not Path(path).exists():
+                return f"{what} not found: {path}"
+    return None
+
+
 def _read_column(path: str) -> list[str]:
     text = Path(path).read_text(encoding="utf-8")
     return [line for line in text.splitlines() if line != ""]
@@ -146,11 +157,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
     if args.spill_mb <= 0:
         print("--spill-mb must be positive", file=sys.stderr)
         return 2
-    try:
-        corpus = load_corpus(args.corpus)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    corpus = load_corpus(args.corpus)
     stats = build_index_streaming(
         corpus.column_values(),
         args.out,
@@ -179,19 +186,16 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         return 2
     try:
         formats = [detect_format(p) for p in paths]
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    first = formats[0]
-    for path, format in zip(paths, formats):
-        if format != first:
-            print(f"cannot merge mixed formats: {paths[0]} is {first}, "
-                  f"{path} is {format}", file=sys.stderr)
-            return 2
-    try:
+        first = formats[0]
+        for path, format in zip(paths, formats):
+            if format != first:
+                print(f"cannot merge mixed formats: {paths[0]} is {first}, "
+                      f"{path} is {format}", file=sys.stderr)
+                return 2
         stats = merge_many(paths, args.out)
     except (OSError, ValueError) as exc:
-        # OSError covers e.g. a truncated gzip member discovered mid-read.
+        # A path that is not an index; OSError covers e.g. a truncated
+        # gzip member discovered mid-read.
         print(str(exc), file=sys.stderr)
         return 1
     print(
@@ -600,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="spill_mb",
                    help="per-scanner memory watermark in MiB past which "
                         f"sorted runs spill to disk (default {DEFAULT_SPILL_MB:g})")
-    p.set_defaults(fn=_cmd_index)
+    p.set_defaults(fn=_cmd_index, reads={"corpus": "corpus directory"})
 
     p = sub.add_parser("merge",
                        help="merge N same-format indexes shard-by-shard with "
@@ -612,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "positional input)")
     p.add_argument("--b", help="second index (legacy spelling)")
     p.add_argument("--out", required=True, help="output index path")
-    p.set_defaults(fn=_cmd_merge)
+    p.set_defaults(fn=_cmd_merge, reads=dict.fromkeys(("inputs", "a", "b"), "index"))
 
     p = sub.add_parser("infer", help="infer validation rules for columns")
     p.add_argument("--index", required=True)
@@ -624,14 +628,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for large batches (0 = auto-size "
                         "from CPU count / REPRO_WORKERS; 1 = force serial)")
     add_config_args(p)
-    p.set_defaults(fn=_cmd_infer)
+    p.set_defaults(fn=_cmd_infer, reads={"index": "index", "column": "column file"})
 
     p = sub.add_parser("validate", help="validate a column against a rule")
     p.add_argument("--rule", required=True, help="rule JSON from 'infer'")
     p.add_argument("--column", required=True)
     p.add_argument("--show-bad", type=int, default=5, dest="show_bad",
                    help="print up to N non-conforming values")
-    p.set_defaults(fn=_cmd_validate)
+    p.set_defaults(
+        fn=_cmd_validate, reads={"rule": "rule file", "column": "column file"}
+    )
 
     p = sub.add_parser("serve", help="serve the /v1 validation API over HTTP")
     p.add_argument("--index", required=True,
@@ -658,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "background thread after open (and after every "
                         "in-place rebuild); first lookups are not blocked")
     add_config_args(p)
-    p.set_defaults(fn=_cmd_serve)
+    p.set_defaults(fn=_cmd_serve, reads={"index": "index"})
 
     p = sub.add_parser(
         "worker",
@@ -699,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replica mode: warm the page cache behind a v3 index "
                         "in the background; /healthz gates traffic until done")
     add_config_args(p)
-    p.set_defaults(fn=_cmd_worker)
+    p.set_defaults(fn=_cmd_worker, reads={"index": "index"})
 
     p = sub.add_parser(
         "dist-build",
@@ -738,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the DistBuildStats report as JSON here")
     p.add_argument("--verbose", action="store_true",
                    help="log every dispatch/retry/window completion")
-    p.set_defaults(fn=_cmd_dist_build)
+    p.set_defaults(fn=_cmd_dist_build, reads={"corpus": "corpus directory"})
 
     p = sub.add_parser(
         "watch",
@@ -786,7 +792,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shed requests past this many in flight with 503 + "
                         "Retry-After (0 = unbounded; health probes exempt)")
     add_config_args(p)
-    p.set_defaults(fn=_cmd_watch)
+    p.set_defaults(fn=_cmd_watch, reads={
+        "index": "index", "register": "feed snapshot", "once": "feed snapshot",
+    })
 
     p = sub.add_parser("tag", help="Auto-Tag: find columns matching examples")
     p.add_argument("--index", required=True)
@@ -794,7 +802,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="optionally sweep this corpus for matches")
     p.add_argument("--fnr-target", type=float, default=0.05, dest="fnr_target")
     add_config_args(p)
-    p.set_defaults(fn=_cmd_tag)
+    p.set_defaults(fn=_cmd_tag, reads={
+        "index": "index", "examples": "examples file", "corpus": "corpus directory",
+    })
 
     p = sub.add_parser(
         "lint", help="repro-lint: check determinism/spawn/lock/fixed-point invariants"
@@ -809,6 +819,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # A named input that is not there is a usage error for every command:
+    # one line, exit 2, before anything runs or is written.
+    missing = _missing_input(args)
+    if missing:
+        print(missing, file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import asyncio
 import time
 from pathlib import Path
-from typing import Mapping
+from typing import Any
 
 from repro.api.wire import ScanRequest, ScanResponse
 from repro.core.enumeration import EnumerationConfig
@@ -46,7 +46,7 @@ from repro.index.builder import (
     consolidate_run_files,
 )
 from repro.index.store import verify_run_payload, write_run_file
-from repro.server.base import BaseHTTPServer, Response, _HTTPError
+from repro.server.base import BaseHTTPServer, _HTTPError
 from repro.validate.rule import dumps_canonical
 
 
@@ -79,34 +79,13 @@ class ScanWorkerServer(BaseHTTPServer):
         self.values_scanned = 0
         self.busy_seconds = 0.0
         self.run_bytes_served = 0
-
-    # -- routing -------------------------------------------------------------
-
-    async def _handle(
-        self,
-        method: str,
-        path: str,
-        headers: Mapping[str, str],
-        body: bytes,
-        peer: tuple | None,
-    ) -> Response:
-        if path == "/v1/scan":
-            if method != "POST":
-                raise _HTTPError(405, "method_not_allowed", "/v1/scan requires POST")
-            return await self._handle_scan(body)
-        if path.startswith("/v1/runs/"):
-            if method not in ("GET", "HEAD"):
-                raise _HTTPError(405, "method_not_allowed", f"{path} requires GET")
-            return self._handle_run_fetch(path[len("/v1/runs/") :])
-        if method not in ("GET", "HEAD"):
-            raise _HTTPError(405, "method_not_allowed", f"{path} requires GET")
-        if path == "/healthz":
-            return self._handle_healthz()
-        if path == "/livez":
-            return dumps_canonical({"status": "alive", "api_version": "v1"})
-        if path == "/metrics":
-            return self._handle_metrics()
-        raise _HTTPError(404, "not_found", f"no route {path}")
+        self._routes.update(
+            {
+                "/healthz": (self._handle_healthz, "GET"),
+                "/v1/scan": (self._handle_scan, "POST"),
+            }
+        )
+        self._prefix_route = ("/v1/runs/", (self._handle_run_fetch, "GET"))
 
     # -- handlers ------------------------------------------------------------
 
@@ -188,7 +167,7 @@ class ScanWorkerServer(BaseHTTPServer):
             pass  # non-empty scratch is a leak, not a failure
         return out, n_values, hits, misses
 
-    def _handle_run_fetch(self, run_id: str) -> bytes:
+    async def _handle_run_fetch(self, run_id: str) -> bytes:
         path = self._runs.get(run_id)
         if path is None:
             raise _HTTPError(404, "run_not_found", f"no run {run_id!r} on this worker")
@@ -201,7 +180,7 @@ class ScanWorkerServer(BaseHTTPServer):
         self.run_bytes_served += len(data)
         return data
 
-    def _handle_healthz(self) -> str:
+    async def _handle_healthz(self, _body: bytes) -> str:
         return dumps_canonical(
             {
                 "status": "ok",
@@ -212,19 +191,12 @@ class ScanWorkerServer(BaseHTTPServer):
             }
         )
 
-    def _handle_metrics(self) -> str:
-        return dumps_canonical(
-            {
-                "requests_total": self.requests_total,
-                "errors_total": self.errors_total,
-                "inflight": self.inflight,
-                "max_inflight": self.max_inflight,
-                "sheds_total": self.sheds_total,
-                "windows_scanned": self.windows_scanned,
-                "columns_scanned": self.columns_scanned,
-                "values_scanned": self.values_scanned,
-                "busy_seconds": self.busy_seconds,
-                "runs_held": len(self._runs),
-                "run_bytes_served": self.run_bytes_served,
-            }
-        )
+    def _metrics(self) -> dict[str, Any]:
+        return {
+            "windows_scanned": self.windows_scanned,
+            "columns_scanned": self.columns_scanned,
+            "values_scanned": self.values_scanned,
+            "busy_seconds": self.busy_seconds,
+            "runs_held": len(self._runs),
+            "run_bytes_served": self.run_bytes_served,
+        }

@@ -9,7 +9,7 @@ is ``auto-validate serve --index DIR --port N``.
 """
 
 from repro.server.base import BaseHTTPServer, serve_with_graceful_shutdown
-from repro.server.http import MAX_BODY_BYTES, ValidationHTTPServer, run_server
+from repro.server.http import MAX_BODY_BYTES, ValidationHTTPServer
 from repro.server.ratelimit import TenantRateLimiter, TokenBucket
 
 __all__ = [
@@ -18,6 +18,5 @@ __all__ = [
     "TenantRateLimiter",
     "TokenBucket",
     "ValidationHTTPServer",
-    "run_server",
     "serve_with_graceful_shutdown",
 ]

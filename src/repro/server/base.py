@@ -1,12 +1,13 @@
 """Shared asyncio HTTP/1.1 plumbing for every server edge in the repo.
 
-Two server binaries speak HTTP here — the serving edge
-(:class:`repro.server.http.ValidationHTTPServer`) and the distributed
-scan worker (:class:`repro.dist.worker.ScanWorkerServer`).  Both need the
-same dependency-free request framing (request line, bounded headers,
-Content-Length or chunked bodies), the same canonical error envelope
-mapping, and the same lifecycle; this module is that common layer so the
-two edges cannot drift apart on framing semantics.
+Three server binaries speak HTTP here — the serving edge
+(:class:`repro.server.http.ValidationHTTPServer`), the watch service
+(:class:`repro.watch.server.WatchHTTPServer`) and the distributed scan
+worker (:class:`repro.dist.worker.ScanWorkerServer`).  All need the same
+dependency-free request framing (request line, bounded headers,
+Content-Length or chunked bodies), the same routing and canonical error
+envelope mapping, and the same lifecycle; this module is that common
+layer so the edges cannot drift apart on framing semantics.
 
 :class:`BaseHTTPServer` owns:
 
@@ -20,11 +21,15 @@ two edges cannot drift apart on framing semantics.
   :meth:`_classify_error` for their own exception families);
 * **graceful shutdown** — :meth:`shutdown` stops accepting, lets
   in-flight requests drain (bounded by ``drain_seconds``), and flips
-  responses to ``Connection: close`` so keep-alive clients let go.
+  responses to ``Connection: close`` so keep-alive clients let go;
+* **routing** — one table, ``path -> (handler, method)`` (plus at most one
+  prefix route), with the 404 / 405 mapping, ``/livez`` and a ``/metrics``
+  that merges the five base counters with the subclass's
+  :meth:`_metrics` dict.
 
-Subclasses implement one coroutine, :meth:`_handle`, which routes a fully
-framed request and returns the payload (optionally with an explicit
-status).
+Subclasses register their routes in ``__init__`` and keep only their
+handlers, :meth:`_classify_error`, and — where requests must be vetted
+after routing — the :meth:`_admit` hook.
 
 :func:`serve_with_graceful_shutdown` is the CLI entry both the ``serve``
 and ``worker`` commands run: it installs ``SIGTERM``/``SIGINT`` handlers
@@ -38,9 +43,10 @@ from __future__ import annotations
 import asyncio
 import signal
 import sys
-from typing import Mapping, Union
+from typing import Any, Awaitable, Callable, Mapping, Union
 
 from repro.api.wire import ErrorResponse, WireError
+from repro.validate.rule import dumps_canonical
 
 #: Upper bound on request bodies (64 MiB ~ a few million short values).
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -79,6 +85,11 @@ Response = Union[
     "tuple[int, Union[str, bytes]]",
     "tuple[int, Union[str, bytes], str]",
 ]
+
+#: One routing-table entry: the coroutine that answers the request (handed
+#: the body — or, for the prefix route, the path past the prefix) and the
+#: method the route requires, ``"GET"`` (``HEAD`` rides along) or ``"POST"``.
+Route = tuple[Callable[[Any], Awaitable[Response]], str]
 
 
 def _is_loopback(peer: tuple | None) -> bool:
@@ -140,6 +151,14 @@ class BaseHTTPServer:
         self.sheds_total = 0
         self._inflight = 0
         self._draining = False
+        #: Exact-path routes; subclasses ``update`` theirs in.
+        self._routes: dict[str, Route] = {
+            "/livez": (self._handle_livez, "GET"),
+            "/metrics": (self._handle_metrics, "GET"),
+        }
+        #: At most one ``(prefix, route)``, for paths that carry an id (the
+        #: worker's ``/v1/runs/<id>``); consulted when no exact path matches.
+        self._prefix_route: tuple[str, Route] | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -454,20 +473,57 @@ class BaseHTTPServer:
         body: bytes,
         peer: tuple | None,
     ) -> Response:
-        """Route one framed request (implemented by each server edge)."""
-        raise NotImplementedError
+        """Route one framed request: 404, 405, :meth:`_admit`, handler."""
+        route = self._routes.get(path)
+        arg: Any = body
+        if route is None and self._prefix_route is not None:
+            prefix, prefix_route = self._prefix_route
+            if path.startswith(prefix):
+                route, arg = prefix_route, path[len(prefix) :]
+        if route is None:
+            raise _HTTPError(404, "not_found", f"no route {path}")
+        handler, required = route
+        if method != required and not (required == "GET" and method == "HEAD"):
+            raise _HTTPError(405, "method_not_allowed", f"{path} requires {required}")
+        return await handler(self._admit(method, path, headers, arg, peer))
 
+    def _admit(
+        self,
+        method: str,
+        path: str,
+        headers: Mapping[str, str],
+        body: Any,
+        peer: tuple | None,
+    ) -> Any:
+        """Admission hook, run on a routed request before its handler.
 
-async def run_server(
-    server: BaseHTTPServer,
-    ready=None,
-) -> None:
-    """Start ``server``, invoke ``ready`` (the CLI prints the bound address
-    there), then serve until cancelled."""
-    await server.start()
-    if ready is not None:
-        ready(server)
-    await server.serve_forever()
+        Raises :class:`_HTTPError` to refuse the request; what it returns
+        is handed to the handler in place of ``body`` (an edge that must
+        decode the body to price it passes the decoded form on).
+        """
+        return body
+
+    async def _handle_livez(self, _body: bytes) -> str:
+        # Pure liveness: if the event loop got here, the process is alive.
+        # Deliberately touches no service state (a wedged index reload
+        # must not look like a dead process).
+        return dumps_canonical({"status": "alive", "api_version": "v1"})
+
+    async def _handle_metrics(self, _body: bytes) -> str:
+        return dumps_canonical(
+            {
+                "requests_total": self.requests_total,
+                "errors_total": self.errors_total,
+                "inflight": self.inflight,
+                "max_inflight": self.max_inflight,
+                "sheds_total": self.sheds_total,
+                **self._metrics(),
+            }
+        )
+
+    def _metrics(self) -> dict[str, Any]:
+        """The edge's own ``/metrics`` keys, merged over the base counters."""
+        return {}
 
 
 async def serve_with_graceful_shutdown(

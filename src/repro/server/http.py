@@ -58,7 +58,7 @@ in-flight requests before the process exits 0
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.api.wire import (
     AdminConfigRequest,
@@ -80,8 +80,6 @@ from repro.server.base import (
     Response,
     _HTTPError,
     _is_loopback,
-    run_server,
-    serve_with_graceful_shutdown,
 )
 from repro.server.ratelimit import TenantRateLimiter
 from repro.service.async_service import AsyncValidationService
@@ -93,8 +91,6 @@ __all__ = [
     "MAX_HEADER_BYTES",
     "MAX_LINE_BYTES",
     "ValidationHTTPServer",
-    "run_server",
-    "serve_with_graceful_shutdown",
 ]
 
 
@@ -113,47 +109,41 @@ class ValidationHTTPServer(BaseHTTPServer):
         self.service = service
         self.rate_limiter = rate_limiter or TenantRateLimiter(rate=0.0, burst=1.0)
         self.rate_limited_total = 0
-        # Static routing table, built once: (handler, needs_post).
-        self._routes: dict[str, tuple[Callable[..., Awaitable[Response]], bool]] = {
-            "/healthz": (self._handle_healthz, False),
-            "/livez": (self._handle_livez, False),
-            "/metrics": (self._handle_metrics, False),
-            "/v1/infer": (self._handle_infer, True),
-            "/v1/validate": (self._handle_validate, True),
-            "/v1/infer_batch": (self._handle_infer_batch, True),
-            "/admin/config": (self._handle_admin_config, True),
-        }
+        self._routes.update(
+            {
+                "/healthz": (self._handle_healthz, "GET"),
+                "/v1/infer": (self._handle_infer, "POST"),
+                "/v1/validate": (self._handle_validate, "POST"),
+                "/v1/infer_batch": (self._handle_infer_batch, "POST"),
+                "/admin/config": (self._handle_admin_config, "POST"),
+            }
+        )
 
-    # -- routing -------------------------------------------------------------
+    # -- admission -----------------------------------------------------------
 
-    async def _handle(
+    def _admit(
         self,
         method: str,
         path: str,
         headers: Mapping[str, str],
-        body: bytes,
+        body: Any,
         peer: tuple | None,
-    ) -> Response:
-        handler, needs_post = self._route(path)
-        if needs_post and method != "POST":
-            raise _HTTPError(405, "method_not_allowed", f"{path} requires POST")
-        if not needs_post and method not in ("GET", "HEAD"):
-            raise _HTTPError(405, "method_not_allowed", f"{path} requires GET")
-        if handler == self._handle_admin_config:
+    ) -> Any:
+        if path == "/admin/config":
             # Loopback-only and never rate-limited: the operator must
             # be able to fix a limiter that is rejecting everything.
             if not _is_loopback(peer):
                 raise _HTTPError(
                     403, "forbidden", "/admin/config is loopback-only"
                 )
-        elif needs_post:
+        elif method == "POST":
             tenant = headers.get("x-tenant", "")
             # A batch costs one token per item, or /v1/infer_batch would
             # bypass the per-tenant limit entirely (10k inferences for
             # one token).  The envelope is parsed once, before the
             # limiter, and handed to the handler already decoded.
             cost = 1.0
-            if handler == self._handle_infer_batch:
+            if path == "/v1/infer_batch":
                 body = BatchEnvelope.from_json(body)
                 cost = float(max(1, len(body.items)))
                 if self.rate_limiter.enabled and cost > self.rate_limiter.burst:
@@ -173,11 +163,9 @@ class ValidationHTTPServer(BaseHTTPServer):
                     "rate_limited",
                     f"tenant {tenant!r} exceeded the request rate",
                 )
-        return await handler(body)
+        return body
 
     def _classify_error(self, exc: Exception) -> tuple[int, str, str]:
-        if isinstance(exc, WireError):
-            return 400, "bad_request", str(exc)
         if isinstance(exc, RuleSerializationError):
             return 400, "unserializable_rule", str(exc)
         if isinstance(exc, StaleIndexError):
@@ -185,15 +173,10 @@ class ValidationHTTPServer(BaseHTTPServer):
             # error: 503 tells retry-aware clients to try again shortly.
             return 503, "index_unavailable", str(exc)
         if isinstance(exc, ValueError):
-            # e.g. unknown variant names surfaced by the registry/service
+            # WireError, or e.g. unknown variant names surfaced by the
+            # registry/service
             return 400, "bad_request", str(exc)
         return super()._classify_error(exc)
-
-    def _route(self, path: str) -> tuple[Callable[..., Awaitable[Response]], bool]:
-        try:
-            return self._routes[path]
-        except KeyError:
-            raise _HTTPError(404, "not_found", f"no route {path}") from None
 
     # -- handlers ------------------------------------------------------------
 
@@ -210,66 +193,46 @@ class ValidationHTTPServer(BaseHTTPServer):
 
     async def _handle_healthz(self, _body: bytes) -> Response:
         stats = self.service.stats()
-        if self._index_warming():
-            # Not ready: the index is still warming.  Fleet probes must
-            # not route traffic here yet — but the replica is alive
-            # (/livez says so), so supervisors must not restart it either.
-            return 503, dumps_canonical(
-                {
-                    "status": "loading",
-                    "generation": stats.generation,
-                    "index_format": stats.index_format,
-                    "api_version": "v1",
-                }
-            )
-        return dumps_canonical(
+        # While the index is still warming the probe answers 503: fleet
+        # probes must not route traffic here yet — but the replica is alive
+        # (/livez says so), so supervisors must not restart it either.
+        warming = self._index_warming()
+        payload = dumps_canonical(
             {
-                "status": "ok",
+                "status": "loading" if warming else "ok",
                 "generation": stats.generation,
                 "index_format": stats.index_format,
                 "api_version": "v1",
             }
         )
+        return (503, payload) if warming else payload
 
-    async def _handle_livez(self, _body: bytes) -> str:
-        # Pure liveness: if the event loop got here, the process is alive.
-        # Deliberately touches no service state (a wedged index reload
-        # must not look like a dead process).
-        return dumps_canonical({"status": "alive", "api_version": "v1"})
-
-    async def _handle_metrics(self, _body: bytes) -> str:
+    def _metrics(self) -> dict[str, Any]:
         stats = self.service.stats()
-        return dumps_canonical(
-            {
-                "inferences": stats.inferences,
-                "result_cache_hits": stats.result_cache_hits,
-                "result_cache_size": stats.result_cache_size,
-                "result_hit_rate": stats.result_hit_rate,
-                "space_cache_hits": stats.space_cache_hits,
-                "space_cache_misses": stats.space_cache_misses,
-                "space_cache_size": stats.space_cache_size,
-                "space_hit_rate": stats.space_hit_rate,
-                "generation": stats.generation,
-                "invalidations": stats.invalidations,
-                "parallel_batches": stats.parallel_batches,
-                "index_format": stats.index_format,
-                "requests_total": self.requests_total,
-                "rate_limited_total": self.rate_limited_total,
-                "errors_total": self.errors_total,
-                "inflight": self.inflight,
-                "max_inflight": self.max_inflight,
-                "sheds_total": self.sheds_total,
-                "ready": not self._index_warming(),
-                "tenants": self.rate_limiter.tenants(),
-                # The *active* serving config — after any /admin/config
-                # reloads — so operators can confirm what is enforced.
-                "config": {
-                    "rate": self.rate_limiter.rate,
-                    "burst": self.rate_limiter.burst,
-                    "variant": self.service.default_variant,
-                },
-            }
-        )
+        return {
+            "inferences": stats.inferences,
+            "result_cache_hits": stats.result_cache_hits,
+            "result_cache_size": stats.result_cache_size,
+            "result_hit_rate": stats.result_hit_rate,
+            "space_cache_hits": stats.space_cache_hits,
+            "space_cache_misses": stats.space_cache_misses,
+            "space_cache_size": stats.space_cache_size,
+            "space_hit_rate": stats.space_hit_rate,
+            "generation": stats.generation,
+            "invalidations": stats.invalidations,
+            "parallel_batches": stats.parallel_batches,
+            "index_format": stats.index_format,
+            "rate_limited_total": self.rate_limited_total,
+            "ready": not self._index_warming(),
+            "tenants": self.rate_limiter.tenants(),
+            # The *active* serving config — after any /admin/config
+            # reloads — so operators can confirm what is enforced.
+            "config": {
+                "rate": self.rate_limiter.rate,
+                "burst": self.rate_limiter.burst,
+                "variant": self.service.default_variant,
+            },
+        }
 
     async def _handle_admin_config(self, body: bytes) -> str:
         request = AdminConfigRequest.from_json(body)

@@ -56,7 +56,7 @@ class AsyncValidationService:
         max_concurrency: int = 32,
         **kwargs: Any,
     ) -> "AsyncValidationService":
-        """Open an async service over a saved index (v1 file or v2 dir)."""
+        """Open an async service over a saved index (any registered format)."""
         return cls(
             ValidationService.from_path(index_path, config, **kwargs),
             max_concurrency=max_concurrency,

@@ -72,25 +72,6 @@ def default_backend() -> str:
     return env if env in BACKENDS else "auto"
 
 
-def chunk_slices(n_items: int, n_chunks: int) -> list[slice]:
-    """Split ``range(n_items)`` into at most ``n_chunks`` contiguous slices
-    of near-equal size (deterministic; order-preserving).
-
-    No longer used by the executor's batch paths, which dedupe and
-    load-balance via :func:`weighted_chunks`; retained as a utility for
-    callers that need plain contiguous splits.
-    """
-    n_chunks = max(1, min(n_chunks, n_items))
-    base, extra = divmod(n_items, n_chunks)
-    slices = []
-    start = 0
-    for i in range(n_chunks):
-        size = base + (1 if i < extra else 0)
-        slices.append(slice(start, start + size))
-        start += size
-    return slices
-
-
 def weighted_chunks(weights: Sequence[int], n_chunks: int) -> list[list[int]]:
     """Partition item indices into at most ``n_chunks`` load-balanced bins.
 

@@ -68,18 +68,6 @@ class InferenceResult:
             return "baseline"
         return "unknown"
 
-    # -- per-kind accessors ----------------------------------------------------
-
-    @property
-    def pattern_rule(self) -> ValidationRule | None:
-        """The rule when it is pattern-based, else None."""
-        return self.rule if isinstance(self.rule, ValidationRule) else None
-
-    @property
-    def dictionary_rule(self):
-        """The rule when it is dictionary-based, else None."""
-        return self.rule if self.kind == "dictionary" else None
-
     def validate(self, values: Sequence[str]) -> ValidationReport:
         """Validate a future column against the inferred rule."""
         if self.rule is None:

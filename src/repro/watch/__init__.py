@@ -2,8 +2,8 @@
 
 The paper's pitch (§1) is validation wired into *production* pipelines:
 learn a data-domain pattern once from the data lake, then check every
-future refresh against it.  :mod:`repro.monitor` closed that loop for one
-in-process session; this package makes it a long-running product:
+future refresh against it.  This package is that loop as a long-running
+product:
 
 * :mod:`repro.watch.registry` — the persisted registry of watched feeds
   (learned rules + baseline state, atomic canonical JSON);

@@ -1,8 +1,8 @@
 """The registry of watched feeds: learned rules + baseline state, persisted.
 
 A watched feed is registered once per tenant: rules are learned from a
-training snapshot (the same ``HybridValidator`` engine that backs
-:class:`repro.monitor.FeedMonitor`) and persisted as wire rule payloads
+training snapshot (by the service's learner, ``HybridValidator.infer`` in
+production) and persisted as wire rule payloads
 (:func:`repro.validate.result.rule_to_payload`), so later refreshes —
 in another process, on another day — validate without the index or the
 training data.  Each column also carries its learned

@@ -48,7 +48,7 @@ server.  The task starts with the listener and is cancelled on close.
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, Mapping
+from typing import Any
 
 from repro.api.wire import (
     WatchAlertsResponse,
@@ -57,14 +57,10 @@ from repro.api.wire import (
     WatchRegisterRequest,
     WatchRegisterResponse,
     WatchStatusResponse,
-    WireError,
 )
 from repro.server.base import (
     BaseHTTPServer,
     Response,
-    _HTTPError,
-    run_server,
-    serve_with_graceful_shutdown,
 )
 from repro.validate.rule import dumps_canonical
 from repro.watch.service import WatchService
@@ -73,8 +69,6 @@ __all__ = [
     "MARKDOWN_CONTENT_TYPE",
     "HTML_CONTENT_TYPE",
     "WatchHTTPServer",
-    "run_server",
-    "serve_with_graceful_shutdown",
 ]
 
 MARKDOWN_CONTENT_TYPE = "text/markdown; charset=utf-8"
@@ -98,19 +92,18 @@ class WatchHTTPServer(BaseHTTPServer):
             raise ValueError("tick_seconds must be positive (or None)")
         self.tick_seconds = tick_seconds
         self._tick_task: asyncio.Task | None = None
-        # Static routing table, built once: (handler, needs_post).
-        self._routes: dict[str, tuple[Callable[..., Awaitable[Response]], bool]] = {
-            "/healthz": (self._handle_healthz, False),
-            "/livez": (self._handle_livez, False),
-            "/metrics": (self._handle_metrics, False),
-            "/v1/watch/register": (self._handle_register, True),
-            "/v1/watch/refresh": (self._handle_refresh, True),
-            "/v1/watch/status": (self._handle_status, False),
-            "/v1/watch/alerts": (self._handle_alerts, False),
-            "/v1/watch/report": (self._handle_report_json, False),
-            "/v1/watch/report.md": (self._handle_report_md, False),
-            "/v1/watch/report.html": (self._handle_report_html, False),
-        }
+        self._routes.update(
+            {
+                "/healthz": (self._handle_healthz, "GET"),
+                "/v1/watch/register": (self._handle_register, "POST"),
+                "/v1/watch/refresh": (self._handle_refresh, "POST"),
+                "/v1/watch/status": (self._handle_status, "GET"),
+                "/v1/watch/alerts": (self._handle_alerts, "GET"),
+                "/v1/watch/report": (self._handle_report_json, "GET"),
+                "/v1/watch/report.md": (self._handle_report_md, "GET"),
+                "/v1/watch/report.html": (self._handle_report_html, "GET"),
+            }
+        )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -142,29 +135,9 @@ class WatchHTTPServer(BaseHTTPServer):
                 # retries.
                 pass
 
-    # -- routing -------------------------------------------------------------
-
-    async def _handle(
-        self,
-        method: str,
-        path: str,
-        headers: Mapping[str, str],
-        body: bytes,
-        peer: tuple | None,
-    ) -> Response:
-        try:
-            handler, needs_post = self._routes[path]
-        except KeyError:
-            raise _HTTPError(404, "not_found", f"no route {path}") from None
-        if needs_post and method != "POST":
-            raise _HTTPError(405, "method_not_allowed", f"{path} requires POST")
-        if not needs_post and method not in ("GET", "HEAD"):
-            raise _HTTPError(405, "method_not_allowed", f"{path} requires GET")
-        return await handler(body)
+    # -- error mapping -------------------------------------------------------
 
     def _classify_error(self, exc: Exception) -> tuple[int, str, str]:
-        if isinstance(exc, WireError):
-            return 400, "bad_request", str(exc)
         if isinstance(exc, KeyError):
             # The registry's "feed ... is not registered" — the message is
             # the KeyError's arg, so strip repr quoting.
@@ -173,7 +146,7 @@ class WatchHTTPServer(BaseHTTPServer):
             # register() without a learner: the request is well-formed but
             # this deployment cannot satisfy it.
             return 409, "conflict", str(exc)
-        if isinstance(exc, ValueError):
+        if isinstance(exc, ValueError):  # WireError included
             return 400, "bad_request", str(exc)
         return super()._classify_error(exc)
 
@@ -189,29 +162,19 @@ class WatchHTTPServer(BaseHTTPServer):
             }
         )
 
-    async def _handle_livez(self, _body: bytes) -> str:
-        return dumps_canonical({"status": "alive", "api_version": "v1"})
-
-    async def _handle_metrics(self, _body: bytes) -> str:
-        return dumps_canonical(
-            {
-                "n_feeds": len(self.service.registry),
-                "n_alerts_retained": len(self.service.alert_log),
-                "refreshes_total": self.service.refreshes_total,
-                "ticks_total": self.service.ticks_total,
-                "requests_total": self.requests_total,
-                "errors_total": self.errors_total,
-                "inflight": self.inflight,
-                "max_inflight": self.max_inflight,
-                "sheds_total": self.sheds_total,
-                "tick_seconds": self.tick_seconds,
-                "timeseries": {
-                    "segments": len(self.service.timeseries.segments()),
-                    "wal_records": self.service.timeseries.wal_record_count(),
-                    "summary_days": self.service.timeseries.summary_days(),
-                },
-            }
-        )
+    def _metrics(self) -> dict[str, Any]:
+        return {
+            "n_feeds": len(self.service.registry),
+            "n_alerts_retained": len(self.service.alert_log),
+            "refreshes_total": self.service.refreshes_total,
+            "ticks_total": self.service.ticks_total,
+            "tick_seconds": self.tick_seconds,
+            "timeseries": {
+                "segments": len(self.service.timeseries.segments()),
+                "wal_records": self.service.timeseries.wal_record_count(),
+                "summary_days": self.service.timeseries.summary_days(),
+            },
+        }
 
     async def _handle_register(self, body: bytes) -> str:
         request = WatchRegisterRequest.from_json(body)

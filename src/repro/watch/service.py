@@ -38,8 +38,7 @@ from repro.watch.registry import ColumnState, FeedState, WatchRegistry
 from repro.watch.timeseries import Observation, TimeSeriesStore
 
 #: A learner maps a training column to an inference outcome — in
-#: production this is ``HybridValidator.infer`` (the same engine behind
-#: ``FeedMonitor``); tests inject cheap fakes.
+#: production this is ``HybridValidator.infer``; tests inject cheap fakes.
 Learner = Callable[[Sequence[str]], InferenceResult]
 
 #: A refresh is "missed" once this multiple of the interval has passed
@@ -96,8 +95,8 @@ class WatchService:
 
         Re-registering an existing feed is the confirmed-upstream-change
         path: every supplied column is re-learned and its baseline reset
-        (re-armed), mirroring ``FeedMonitor.relearn``.  Returns the
-        per-column outcome summary (rule kind, or the abstention reason).
+        (re-armed).  Returns the per-column outcome summary (rule kind, or
+        the abstention reason).
         """
         if self.learner is None:
             raise RuntimeError(

@@ -224,6 +224,39 @@ class TestStoreFormatsAndMerge:
         assert "corpus directory not found" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["dist-build", "--corpus", "{ghost}", "--worker", "http://127.0.0.1:1",
+          "--out", "{out}"], "--corpus"),
+        (["infer", "--index", "{ghost}", "--column", "{ws}/feed.txt"], "--index"),
+        (["infer", "--index", "{ws}/lake.base", "--column", "{ws}/feed.txt",
+          "{ghost}"], "--column"),
+        (["validate", "--rule", "{ghost}", "--column", "{ws}/feed.txt"], "--rule"),
+        (["serve", "--index", "{ghost}"], "--index"),
+        (["tag", "--index", "{ghost}", "--examples", "{ws}/examples.txt"],
+         "--index"),
+        (["tag", "--index", "{ws}/lake.base", "--examples", "{ghost}"],
+         "--examples"),
+        (["tag", "--index", "{ws}/lake.base", "--examples", "{ws}/examples.txt",
+          "--corpus", "{ghost}"], "--corpus"),
+        (["watch", "--state-dir", "{out}", "--index", "{ghost}", "--serve"],
+         "--index"),
+        (["worker", "--serve-replica", "--index", "{ghost}"], "--index"),
+    ])
+    def test_missing_input_path_is_one_line_exit_2(
+        self, workspace, tmp_path, capsys, argv, flag
+    ):
+        """Every command fails on a missing input the way ``index`` does:
+        one stderr line naming the path, exit 2, nothing run or written."""
+        ghost = tmp_path / "no-such-path"
+        names = {"ghost": ghost, "ws": workspace, "out": tmp_path / "out"}
+        code = main([arg.format(**names) for arg in argv])
+        assert code == 2, flag
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "not found" in captured.err and str(ghost) in captured.err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--shards", "0"), ("--spill-mb", "0"), ("--workers", "-1"),
     ])

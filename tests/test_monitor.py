@@ -1,4 +1,10 @@
-"""Tests for the recurring-feed monitor (repro.monitor)."""
+"""The recurring-feed monitoring loop on the real inference engine.
+
+``tests/test_watch.py`` drives ``WatchService`` with a fake learner so
+pass rates are exactly controllable; this module runs the same loop —
+learn once, check every refresh, relearn after a confirmed change — with
+``HybridValidator.infer`` as the learner over the shared small index.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,10 @@ import random
 import pytest
 
 from repro.datalake.domains import DOMAIN_REGISTRY
-from repro.monitor import FeedMonitor
+from repro.validate.hybrid import HybridValidator
+from repro.watch import WatchService
+
+TENANT, FEED = "acme", "events"
 
 
 def _feed(rng: random.Random, n: int = 120) -> dict[str, list[str]]:
@@ -20,59 +29,73 @@ def _feed(rng: random.Random, n: int = 120) -> dict[str, list[str]]:
 
 
 @pytest.fixture()
-def monitor(small_index, small_corpus_columns, small_config, rng):
-    monitor = FeedMonitor(small_index, small_corpus_columns, small_config)
-    monitor.learn(_feed(rng))
-    return monitor
+def service(tmp_path, small_index, small_corpus_columns, small_config):
+    validator = HybridValidator(small_index, small_corpus_columns, small_config)
+    return WatchService(tmp_path / "watch", learner=validator.infer)
+
+
+@pytest.fixture()
+def monitor(service, rng):
+    service.register(TENANT, FEED, _feed(rng))
+    return service
+
+
+def _state(service: WatchService):
+    return service.registry.require(TENANT, FEED)
+
+
+def _alerting(outcome: dict) -> list[str]:
+    return [r["column"] for r in outcome["results"] if not r["passed"]]
 
 
 class TestLearning:
-    def test_learn_reports_rule_kinds(self, small_index, small_corpus_columns, small_config, rng):
-        monitor = FeedMonitor(small_index, small_corpus_columns, small_config)
-        outcomes = monitor.learn(_feed(rng))
+    def test_learn_reports_rule_kinds(self, service, rng):
+        outcomes = service.register(TENANT, FEED, _feed(rng))
         assert outcomes["event_time"] == "pattern"
         assert outcomes["city"] == "dictionary"
         assert outcomes["blob"].startswith("unmonitored")
 
     def test_monitored_columns(self, monitor):
-        assert "event_time" in monitor.monitored_columns
-        assert "blob" not in monitor.monitored_columns
+        assert "event_time" in _state(monitor).monitored_columns()
+        assert "blob" not in _state(monitor).monitored_columns()
 
     def test_rule_kind_lookup(self, monitor):
-        assert monitor.rule_kind("event_time") == "pattern"
-        assert monitor.rule_kind("blob") is None
+        assert _state(monitor).columns["event_time"].kind == "pattern"
+        assert _state(monitor).columns["blob"].kind == "none"
 
 
 class TestChecking:
     def test_clean_refresh_is_ok(self, monitor, rng):
-        report = monitor.check(_feed(rng))
-        assert report.ok
-        assert report.columns_checked == 3
-        assert report.columns_skipped == ("blob",)
-        assert "clean" in report.describe()
+        outcome = monitor.refresh(TENANT, FEED, _feed(rng))
+        assert outcome["alerts"] == []
+        assert len(outcome["results"]) == 3
+        assert outcome["columns_skipped"] == ["blob"]
+        assert outcome["severity_counts"] == {"ok": 3, "warning": 0, "critical": 0}
 
     def test_drifted_column_alerts(self, monitor, rng):
         feed = _feed(rng)
         feed["event_time"] = DOMAIN_REGISTRY["guid"].sample_many(rng, 120)
-        report = monitor.check(feed)
-        assert not report.ok
-        assert [a.column for a in report.alerts] == ["event_time"]
-        assert "event_time" in report.describe()
+        outcome = monitor.refresh(TENANT, FEED, feed)
+        assert _alerting(outcome) == ["event_time"]
+        (alert,) = outcome["alerts"]
+        assert (alert["column"], alert["kind"]) == ("event_time", "rule_violation")
+        assert alert["message"]
 
     def test_history_accumulates(self, monitor, rng):
         feed = _feed(rng)
         feed["market"] = DOMAIN_REGISTRY["guid"].sample_many(rng, 120)
-        monitor.check(feed)
-        monitor.check(_feed(rng))
-        monitor.check(feed)
-        assert len(monitor.history) == 2
-        assert monitor.alert_counts()["market"] == 2
-        assert monitor.alert_counts()["event_time"] == 0
+        monitor.refresh(TENANT, FEED, feed)
+        monitor.refresh(TENANT, FEED, _feed(rng))
+        monitor.refresh(TENANT, FEED, feed)
+        violations = [a for a in monitor.alerts() if a.kind == "rule_violation"]
+        assert [(a.column, a.refresh_id) for a in violations] == [
+            ("market", 1), ("market", 3),
+        ]
 
     def test_refresh_ids_increment(self, monitor, rng):
-        first = monitor.check(_feed(rng))
-        second = monitor.check(_feed(rng))
-        assert (first.refresh_id, second.refresh_id) == (1, 2)
+        first = monitor.refresh(TENANT, FEED, _feed(rng))
+        second = monitor.refresh(TENANT, FEED, _feed(rng))
+        assert (first["refresh_id"], second["refresh_id"]) == (1, 2)
 
 
 class TestRelearning:
@@ -82,18 +105,19 @@ class TestRelearning:
         new_format = DOMAIN_REGISTRY["datetime_iso"].sample_many(rng, 120)
         feed = _feed(rng)
         feed["event_time"] = new_format
-        assert not monitor.check(feed).ok
+        assert _alerting(monitor.refresh(TENANT, FEED, feed)) == ["event_time"]
 
-        kind = monitor.relearn("event_time", new_format)
+        kind = monitor.relearn(TENANT, FEED, "event_time", new_format)
         assert kind == "pattern"
         feed["event_time"] = DOMAIN_REGISTRY["datetime_iso"].sample_many(rng, 120)
-        assert monitor.check(feed).ok
+        assert monitor.refresh(TENANT, FEED, feed)["alerts"] == []
 
     def test_relearn_to_unlearnable_unmonitors(self, monitor, rng):
         outcome = monitor.relearn(
-            "event_time", [f"⟦{i}⟧ odd {'y' * (i % 7)}" for i in range(50)]
+            TENANT, FEED, "event_time",
+            [f"⟦{i}⟧ odd {'y' * (i % 7)}" for i in range(50)],
         )
         assert outcome.startswith("unmonitored")
-        assert "event_time" not in monitor.monitored_columns
-        report = monitor.check(_feed(rng))
-        assert "event_time" in report.columns_skipped
+        assert "event_time" not in _state(monitor).monitored_columns()
+        refresh = monitor.refresh(TENANT, FEED, _feed(rng))
+        assert "event_time" in refresh["columns_skipped"]

@@ -20,7 +20,7 @@ import pytest
 from repro.datalake.domains import DOMAIN_REGISTRY
 from repro.index.store import open_index, save_index
 from repro.service import ValidationService
-from repro.service.parallel import ParallelExecutor, chunk_slices, index_spec_for
+from repro.service.parallel import ParallelExecutor, index_spec_for
 
 THRESHOLD = 4
 
@@ -52,25 +52,6 @@ def serial_service(small_index, small_config):
     return ValidationService(
         small_index, small_config, variant="fmdv", parallel_backend="serial"
     )
-
-
-class TestChunkSlices:
-    def test_partitions_in_order(self):
-        slices = chunk_slices(10, 3)
-        items = list(range(10))
-        assert [items[s] for s in slices] == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-
-    def test_never_more_chunks_than_items(self):
-        assert len(chunk_slices(2, 8)) == 2
-        assert len(chunk_slices(1, 8)) == 1
-
-    def test_covers_everything_exactly_once(self):
-        for n_items in (1, 5, 16, 33):
-            for n_chunks in (1, 2, 7):
-                flat = []
-                for s in chunk_slices(n_items, n_chunks):
-                    flat.extend(range(n_items)[s])
-                assert flat == list(range(n_items))
 
 
 class TestBackendSelection:

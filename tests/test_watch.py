@@ -32,7 +32,6 @@ from repro.api.wire import (
     WireError,
 )
 from repro.durability import format_crc_line, read_crc_lines, recover_crc_lines
-from repro.monitor import DEFAULT_MAX_HISTORY, ColumnAlert, FeedMonitor, FeedReport
 from repro.validate.dictionary import DictionaryRule
 from repro.validate.result import InferenceResult
 from repro.watch import (
@@ -922,73 +921,64 @@ class TestApiSurface:
         assert api.Alert is Alert
         assert api.WatchRegisterRequest is WatchRegisterRequest
 
-    def test_monitor_types_reexported(self):
-        assert api.FeedMonitor is FeedMonitor
-        assert api.ColumnAlert is ColumnAlert
-        assert api.FeedReport is FeedReport
-
     def test_all_names_resolve(self):
         for name in api.__all__:
             assert getattr(api, name) is not None
         assert set(api.__all__) <= set(dir(api))
 
 
-# -- FeedMonitor satellites ----------------------------------------------------
+# -- the loop on the real engine (HybridValidator.infer as the learner) --------
 
 
-class TestFeedMonitorHistory:
-    def test_default_bound(self, small_index, small_corpus_columns, small_config):
-        monitor = FeedMonitor(small_index, small_corpus_columns, small_config)
-        assert monitor.max_history == DEFAULT_MAX_HISTORY
+@pytest.fixture()
+def hybrid_learner(small_index, small_corpus_columns, small_config):
+    from repro.validate.hybrid import HybridValidator
 
-    def test_max_history_validation(
-        self, small_index, small_corpus_columns, small_config
-    ):
-        with pytest.raises(ValueError, match="max_history"):
-            FeedMonitor(
-                small_index, small_corpus_columns, small_config, max_history=0
-            )
+    return HybridValidator(small_index, small_corpus_columns, small_config).infer
 
-    def test_history_is_trimmed(
-        self, small_index, small_corpus_columns, small_config, rng
-    ):
+
+class TestMonitorHistory:
+    def test_history_is_trimmed(self, tmp_path, hybrid_learner, rng):
         from repro.datalake.domains import DOMAIN_REGISTRY
 
-        monitor = FeedMonitor(
-            small_index, small_corpus_columns, small_config, max_history=3
+        service = WatchService(
+            tmp_path / "watch", learner=hybrid_learner, max_alerts=3
         )
         spec = DOMAIN_REGISTRY["city"]
-        monitor.learn({"city": spec.sample_many(rng, 60)})
+        service.register("acme", "geo", {"city": spec.sample_many(rng, 60)})
         # Every refresh is fully corrupted, so each one appends an alert.
         for _ in range(5):
             corrupted = [f"###{v}###" for v in spec.sample_many(rng, 30)]
-            report = monitor.check({"city": corrupted})
-            assert report.alerts
-        assert len(monitor.history) == 3
+            assert service.refresh("acme", "geo", {"city": corrupted})["alerts"]
         # The newest alerts are the ones retained.
-        assert [a.refresh_id for a in monitor.history] == [3, 4, 5]
+        assert [a.refresh_id for a in service.alerts()] == [3, 4, 5]
 
 
 class TestMonitorWire:
     @pytest.mark.parametrize("seed", range(N_SEEDS))
-    def test_feed_report_round_trip(
-        self, small_index, small_corpus_columns, small_config, seed
-    ):
+    def test_feed_report_round_trip(self, tmp_path, hybrid_learner, seed):
+        """A real engine's refresh report, as the edge answers it, survives
+        the wire byte for byte."""
         from repro.datalake.domains import DOMAIN_REGISTRY
 
         rng = random.Random(seed)
-        monitor = FeedMonitor(small_index, small_corpus_columns, small_config)
+        server = WatchHTTPServer(
+            WatchService(tmp_path / "watch", learner=hybrid_learner), port=0
+        )
         spec = DOMAIN_REGISTRY["city"]
-        monitor.learn({"city": spec.sample_many(rng, 60)})
+        _dispatch(
+            server, "POST", "/v1/watch/register",
+            _register_body({"city": spec.sample_many(rng, 60)}),
+        )
         values = spec.sample_many(rng, 30)
         if rng.random() < 0.5:  # half the seeds validate a corrupted refresh
             values = [f"###{v}###" for v in values]
-        report = monitor.check({"city": values})
-        clone = FeedReport.from_json(report.to_json())
-        assert clone == report
-        assert clone.to_json() == report.to_json()
-        if report.alerts:
-            alert = report.alerts[0]
-            alert_clone = ColumnAlert.from_json(alert.to_json())
-            assert alert_clone == alert
-            assert alert_clone.to_json() == alert.to_json()
+        status, payload, _ = _dispatch(
+            server, "POST", "/v1/watch/refresh", _refresh_body({"city": values})
+        )
+        assert status == 200
+        report = WatchRefreshResponse.from_json(payload)
+        assert report.to_json() == payload
+        assert bool(report.alerts) == (values[0].startswith("###"))
+        for alert in report.alerts:
+            assert Alert.from_payload(alert).to_payload() == alert
