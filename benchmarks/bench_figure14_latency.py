@@ -23,7 +23,6 @@ the amortized regime a multi-tenant deployment actually operates in.
 from __future__ import annotations
 
 import gc
-import os
 import random
 import time
 
@@ -58,14 +57,13 @@ def _http_warm_batch_ms(service, columns, repeats: int) -> float:
 
     from repro.api.wire import BatchEnvelope, InferRequest
     from repro.server import ValidationHTTPServer
-    from repro.service import AsyncValidationService
 
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()
 
     async def _start():
-        server = ValidationHTTPServer(AsyncValidationService(service), port=0)
+        server = ValidationHTTPServer(service, port=0)
         await server.start()
         return server
 
@@ -154,44 +152,6 @@ def test_figure14_latency(benchmark, enterprise_benchmark, enterprise_index, ent
                  "ms/column": f"{ms_http_warm:.3f}",
                  "note": "stdlib asyncio server, same warm batch over the wire"})
 
-    # Parallel cold batch: the same cold workload fanned across a spawn-safe
-    # process pool.  Algorithm 1 is CPU-bound and per-column independent, so
-    # on a multi-core runner the speedup is near-linear in workers.  Pool
-    # startup is measured separately from steady-state batch latency (a
-    # long-lived service pays it once, not per batch).
-    n_cores = os.cpu_count() or 1
-    pool_workers = min(4, n_cores)
-    parallel_service = ValidationService(
-        enterprise_index, BENCH_CONFIG, variant="fmdv",
-        workers=pool_workers, min_batch_for_parallel=1,
-        parallel_backend="process",
-    )
-    with parallel_service:
-        # Spawn the pool on throwaway columns so the timed batch below is
-        # genuinely cold in every worker's caches.  The columns must be
-        # *distinct* — identical ones dedup to a single miss, which would
-        # skip the pool and push spawn cost into the timed section.
-        start = time.perf_counter()
-        parallel_service.infer_many([[str(i)] for i in range(max(2, pool_workers))])
-        ms_spawn = (time.perf_counter() - start) * 1000.0
-        parallel_service.clear_caches()
-        gc.collect()  # same hygiene as the serial cold row: the warm batch's
-        # allocation churn must not bill its deferred GC to this measurement
-        start = time.perf_counter()
-        parallel_results = parallel_service.infer_many(columns)
-        ms_parallel = (time.perf_counter() - start) / len(columns) * 1000.0
-    serial_results = ValidationService(
-        enterprise_index, BENCH_CONFIG, variant="fmdv", parallel_backend="serial"
-    ).infer_many(columns)
-    latencies["Service (parallel cold)"] = ms_parallel
-    rows.append({"method": "Service (parallel cold)", "ms/column": f"{ms_parallel:.1f}",
-                 "note": f"{pool_workers} spawn workers on {n_cores} cores "
-                         f"(pool startup {ms_spawn:.0f} ms, paid once)"})
-
-    # Correctness: the parallel engine must reproduce the serial results
-    # exactly — same rules, same statistics, same order.
-    assert parallel_results == serial_results
-
     # FMDV (no-index): re-scans a corpus sample per query.  Even against a
     # small 300-column sample this is orders of magnitude slower, so only
     # 2 query columns are measured.
@@ -220,12 +180,6 @@ def test_figure14_latency(benchmark, enterprise_benchmark, enterprise_index, ent
     # The serving claim: the HTTP layer adds bounded overhead — a warm
     # wire batch still answers well inside interactive latency per column.
     assert latencies["HTTP /v1/infer_batch (warm)"] < 100.0
-    # The parallel claim: on a multi-core runner (>= 4 cores) the process
-    # pool makes the cold batch at least 2x faster than the serial path.
-    # Single/dual-core machines only check correctness (asserted above) —
-    # there is no parallel speedup to be had without cores.
-    if n_cores >= 4:
-        assert latencies["Service (cold batch)"] / max(ms_parallel, 1e-9) >= 2.0
 
 
 def _cold_start_probe(index_path, probe_key: str) -> dict:

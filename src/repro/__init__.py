@@ -56,12 +56,7 @@ from repro.index.store import (
     open_index,
     save_index,
 )
-from repro.service import (
-    AsyncValidationService,
-    HypothesisSpaceCache,
-    ServiceStats,
-    ValidationService,
-)
+from repro.service import HypothesisSpaceCache, ServiceStats, ValidationService
 from repro.server import TenantRateLimiter, ValidationHTTPServer
 from repro.validate.autotag import AutoTagger, TagResult
 from repro.validate.combined import FMDVCombined
@@ -80,7 +75,6 @@ __all__ = [
     "API_VERSION",
     "Atom",
     "AtomKind",
-    "AsyncValidationService",
     "BatchEnvelope",
     "ErrorResponse",
     "InferRequest",

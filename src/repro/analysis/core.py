@@ -3,7 +3,7 @@
 The codebase rests on invariants no generic linter knows about: streamed
 builds must be byte-identical to serial ones (exact 2**-105 fixed-point
 accumulation, ``repro.index.builder``), worker pools must never pickle
-regexes or mmap state (``repro.service.parallel``), wire envelopes must
+regexes or mmap state (the build's spawn pool), wire envelopes must
 serialize byte-stably (``repro.api.wire``), and service caches must only
 be touched under their locks.  Violations surface as flaky tests or —
 worse — silent cross-host index mismatches.  This module provides the

@@ -1,7 +1,7 @@
 """Spawn-safety rule (AV201).
 
-The parallel batch engine's contract (``repro.service.parallel``): worker
-pools are started with the ``spawn`` method and the task payload pickles
+The spawn-pool contract (the streaming build's scan pool in
+``repro.index.builder``): worker pools are started with the ``spawn`` method and the task payload pickles
 only plain values, config dataclasses and raw entry maps — **never**
 compiled regexes, mmap/shard handles, locks or open file objects.
 Violations do not always fail loudly: some of these objects pickle "fine"

@@ -33,25 +33,22 @@ spills sorted partial runs past the ``--spill-mb`` watermark and the
 runs merge straight into the final shards, byte-identical to the
 in-memory reference build without ever holding the full pattern dict.
 Inference runs through
-:class:`repro.service.ValidationService`, so repeated columns inside one
-``infer`` batch are answered from cache.
+:class:`repro.service.ValidationService`, one column after another, so
+repeated columns inside one ``infer`` batch are answered from cache.
 
 Serving:
 
-* ``infer --workers N`` fans a large batch across ``N`` spawn-safe worker
-  processes (near-linear speedup on cold batches; results are identical to
-  the serial path).  ``--workers 0`` (default) auto-sizes from the CPU
-  count and the ``REPRO_WORKERS`` / ``REPRO_PARALLEL_BACKEND`` environment
-  variables; ``--workers 1`` forces serial.
-* ``serve --index lake.idx --port 8080 --workers N`` boots the stdlib HTTP
-  server (:mod:`repro.server`) over :class:`AsyncValidationService`:
+* ``serve --index lake.idx --port 8080`` boots the stdlib HTTP server
+  (:mod:`repro.server`) over one :class:`ValidationService`:
   ``POST /v1/infer`` / ``/v1/validate`` / ``/v1/infer_batch`` speak the
   versioned wire envelopes of :mod:`repro.api` (schema:
   ``src/repro/api/WIRE.md``), ``GET /healthz`` / ``/metrics`` expose
-  liveness and the full service stats, and ``--rate``/``--burst`` enforce
+  readiness and the full service stats, and ``--rate``/``--burst`` enforce
   per-tenant token-bucket limits keyed on the ``X-Tenant`` header.
-* custom asyncio deployments can embed
-  :class:`repro.service.AsyncValidationService` directly.
+* one ``serve`` process is one core's worth of inference.  To go wider,
+  run N of them on the same index (``--prefetch`` gates ``/healthz``
+  until a v3 index is warm) and spread traffic with
+  :class:`repro.dist.RoundRobinClient`.
 * long-lived services watch the ``--index`` path: rebuilding the index in
   place bumps the cache generation automatically — no restart needed.
 """
@@ -83,7 +80,7 @@ from repro.index.store import (
     merge_many,
     open_index,
 )
-from repro.service import AsyncValidationService, ValidationService
+from repro.service import ValidationService
 from repro.server import (
     TenantRateLimiter,
     ValidationHTTPServer,
@@ -211,22 +208,10 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     if args.rule and len(args.column) > 1:
         print("--rule requires a single --column file", file=sys.stderr)
         return 2
-    if args.workers < 0:
-        print("--workers must be >= 0 (0 = auto)", file=sys.stderr)
-        return 2
-    # An explicit --workers N>1 is a request for the pool; auto (0) lets
-    # the service decide by batch size.
     service = ValidationService.from_path(
-        args.index,
-        _config(args),
-        variant=args.variant,
-        workers=args.workers or None,
-        parallel_backend="process" if args.workers > 1 else None,
+        args.index, _config(args), variant=args.variant
     )
-    with service:
-        results = service.infer_many(
-            _read_column(path) for path in args.column
-        )
+    results = service.infer_many(_read_column(path) for path in args.column)
     missing = 0
     for path, result in zip(args.column, results):
         if len(args.column) > 1:
@@ -261,9 +246,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.workers < 0:
-        print("--workers must be >= 0 (0 = auto)", file=sys.stderr)
-        return 2
     if args.rate < 0:
         print("--rate must be >= 0 (0 = unlimited)", file=sys.stderr)
         return 2
@@ -278,21 +260,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         _config(args),
         prefetch=args.prefetch,
         variant=args.variant,
-        workers=args.workers or None,
-        parallel_backend="process" if args.workers > 1 else None,
     )
     limiter = TenantRateLimiter(rate=args.rate, burst=args.burst)
 
     async def _run() -> None:
-        async_service = AsyncValidationService(
-            service, max_concurrency=args.max_concurrency
-        )
         server = ValidationHTTPServer(
-            async_service,
+            service,
             host=args.host,
             port=args.port,
             rate_limiter=limiter,
             max_inflight=args.max_inflight or None,
+            max_concurrency=args.max_concurrency,
         )
 
         def ready(bound: ValidationHTTPServer) -> None:
@@ -312,8 +290,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(_run())
     except KeyboardInterrupt:  # pragma: no cover - non-signal-handler loops
         print("shutting down", file=sys.stderr)
-    finally:
-        service.close()
     return 0
 
 
@@ -321,14 +297,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     # Imported lazily: the dist subsystem is not needed for local builds.
     from repro.dist import ScanWorkerServer
 
-    if args.serve_replica:
-        if not args.index:
-            print("--serve-replica requires --index", file=sys.stderr)
-            return 2
-        # A replica is the serving edge in read-only fleet clothing: the
-        # same routes/limits as `serve`, with --prefetch warming the
-        # shared immutable v3 index so /healthz gates traffic until warm.
-        return _cmd_serve(args)
     if args.spill_mb <= 0:
         print("--spill-mb must be positive", file=sys.stderr)
         return 2
@@ -624,9 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="text file(s), one value per line; several files form a batch")
     p.add_argument("--variant", choices=sorted(_VARIANTS), default="vh")
     p.add_argument("--rule", help="write the rule as JSON here")
-    p.add_argument("--workers", type=int, default=0,
-                   help="worker processes for large batches (0 = auto-size "
-                        "from CPU count / REPRO_WORKERS; 1 = force serial)")
     add_config_args(p)
     p.set_defaults(fn=_cmd_infer, reads={"index": "index", "column": "column file"})
 
@@ -646,8 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080,
                    help="listen port (0 picks a free one; see the readiness line)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="worker processes for /v1/infer_batch (0 = auto; 1 = serial)")
     p.add_argument("--variant", choices=sorted(_VARIANTS), default="vh")
     p.add_argument("--rate", type=float, default=0.0,
                    help="per-tenant sustained requests/second (0 = unlimited)")
@@ -666,10 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_args(p)
     p.set_defaults(fn=_cmd_serve, reads={"index": "index"})
 
-    p = sub.add_parser(
-        "worker",
-        help="run a distributed scan worker (or a read-only serving replica)",
-    )
+    p = sub.add_parser("worker", help="run a distributed scan worker")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8081,
                    help="listen port (0 picks a free one; see the readiness line)")
@@ -681,31 +641,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-scan memory watermark in MiB past which sorted "
                         f"runs spill (default {DEFAULT_SPILL_MB:g}; the "
                         "coordinator may override per window)")
-    p.add_argument("--serve-replica", action="store_true", dest="serve_replica",
-                   help="serve the read-only /v1 inference API instead of "
-                        "/v1/scan: one replica of a fleet, all mmapping the "
-                        "same immutable index (use with --index and "
-                        "--prefetch; /healthz answers 503 until warm)")
-    p.add_argument("--index", default=None,
-                   help="saved index to serve (required with --serve-replica)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="replica mode: worker processes for /v1/infer_batch")
-    p.add_argument("--variant", choices=sorted(_VARIANTS), default="vh")
-    p.add_argument("--rate", type=float, default=0.0,
-                   help="replica mode: per-tenant requests/second (0 = unlimited)")
-    p.add_argument("--burst", type=float, default=20.0,
-                   help="replica mode: per-tenant burst capacity")
-    p.add_argument("--max-concurrency", type=int, default=32,
-                   dest="max_concurrency",
-                   help="replica mode: max in-flight inference calls")
     p.add_argument("--max-inflight", type=int, default=0, dest="max_inflight",
                    help="shed requests past this many in flight with 503 + "
                         "Retry-After (0 = unbounded; health probes exempt)")
-    p.add_argument("--prefetch", action="store_true",
-                   help="replica mode: warm the page cache behind a v3 index "
-                        "in the background; /healthz gates traffic until done")
-    add_config_args(p)
-    p.set_defaults(fn=_cmd_worker, reads={"index": "index"})
+    p.set_defaults(fn=_cmd_worker)
 
     p = sub.add_parser(
         "dist-build",

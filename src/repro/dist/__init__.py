@@ -15,8 +15,8 @@ topology with the pieces the repo already has:
   run, and k-way merges the runs into final v2/v3 shards;
 * a **round-robin client** (:mod:`repro.dist.client`) — fans
   ``infer_batch`` traffic across a replicated read-only serving fleet
-  (``auto-validate worker --serve-replica``, every replica mmapping the
-  same immutable v3 index).
+  (N ``auto-validate serve --prefetch`` processes, every replica
+  mmapping the same immutable v3 index).
 
 The whole design leans on one invariant: run files carry *exact*
 2**-105 fixed-point impurity partials, so integer addition makes the

@@ -1,12 +1,13 @@
 """Round-robin client for a replicated read-only serving fleet.
 
-``auto-validate worker --serve-replica`` boots N identical read-only
-servers, each mmapping the same immutable v3 index (``--prefetch``
-warming the page cache behind each).  This client is the fan-out side:
-it health-probes the replica list (readiness, not liveness — a replica
-still warming answers 503 and is skipped), round-robins single ``infer``
-calls, and splits ``infer_batch`` column sets across every ready replica
-in parallel, reassembling results in order.
+A fleet is N ``auto-validate serve --index lake.v3 --prefetch --port P``
+processes, each mmapping the same immutable v3 index (``--prefetch``
+warming the page cache behind each, with ``/healthz`` answering 503
+until it is done).  This client is the fan-out side: it round-robins
+single ``infer`` calls, splits an ``infer_batch`` into one sub-batch per
+configured replica URL and sends them in parallel, reassembling results
+in order, and reports which replicas are ready (:meth:`ready_replicas`:
+readiness, not liveness — a replica still warming is left out).
 
 Failover is retry-on-the-next-replica: replicas are interchangeable by
 construction (same index bytes, same config fingerprint), so any
@@ -32,6 +33,8 @@ from typing import Any, Sequence
 
 from repro.api.wire import BatchEnvelope, InferRequest, InferResponse
 from repro.dist.coordinator import HTTPTransport
+from repro.service.cache import column_digest
+from repro.util import weighted_chunks
 from repro.validate.result import InferenceResult
 
 
@@ -196,42 +199,58 @@ class RoundRobinClient:
     def infer_batch(
         self, columns: Sequence[Sequence[str]], variant: str | None = None
     ) -> list[InferenceResult]:
-        """Fan one batch across the fleet; results come back in order.
+        """Fan one batch across the fleet; results come back in input order.
 
-        Column *i* goes to replica ``i % n`` (each replica receives one
-        contiguous sub-batch through its own batch fast path); sub-batches
-        fly concurrently and failover independently, so one slow or dead
-        replica delays only its share.
+        The batch is deduped by :func:`~repro.service.cache.column_digest`
+        first: a column repeated in the batch (or a permutation of it) is
+        solved once, on one replica, and every repeat shares its result.
+        The distinct columns are then packed by value count into at most
+        one sub-batch per configured replica URL, ready or not
+        (:func:`~repro.util.weighted_chunks`), so one huge column cannot
+        straggle a replica while the others idle.  Sub-batches fly
+        concurrently, each starting at the next replica in the rotation
+        and failing over independently, so one slow or dead replica delays
+        only its share.
         """
         if not columns:
             return []
-        n = len(self.replica_urls)
-        assignments: list[list[int]] = [[] for _ in range(n)]
-        for i in range(len(columns)):
-            assignments[i % n].append(i)
-        results: list[InferenceResult | None] = [None] * len(columns)
+        slot_of: dict[str, int] = {}
+        distinct: list[Sequence[str]] = []
+        slots: list[int] = []
+        for values in columns:
+            digest = column_digest(values)
+            if digest not in slot_of:
+                slot_of[digest] = len(distinct)
+                distinct.append(values)
+            slots.append(slot_of[digest])
+        answers: list[InferenceResult | None] = [None] * len(distinct)
 
-        def send(positions: list[int]) -> None:
+        def send(chunk: list[int]) -> None:
             body = BatchEnvelope(
                 items=tuple(
-                    InferRequest(values=tuple(columns[i]), variant=variant)
-                    for i in positions
+                    InferRequest(values=tuple(distinct[i]), variant=variant)
+                    for i in chunk
                 )
             ).to_json()
             data = self._post_with_failover("/v1/infer_batch", body.encode("utf-8"))
             batch = BatchEnvelope.from_json(data)
-            if len(batch.items) != len(positions):
+            if len(batch.items) != len(chunk):
                 raise AllReplicasFailedError(
                     f"replica answered {len(batch.items)} results for "
-                    f"{len(positions)} columns"
+                    f"{len(chunk)} columns"
                 )
-            for position, item in zip(positions, batch.items):
-                results[position] = item.result
+            for i, item in zip(chunk, batch.items):
+                answers[i] = item.result
 
-        busy = [positions for positions in assignments if positions]
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=max(1, len(busy))
-        ) as pool:
-            for future in [pool.submit(send, positions) for positions in busy]:
+        chunks = weighted_chunks(
+            [len(values) for values in distinct], len(self.replica_urls)
+        )
+        with concurrent.futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            for future in [pool.submit(send, chunk) for chunk in chunks]:
                 future.result()
-        return [result for result in results if result is not None]
+        unanswered = sum(answer is None for answer in answers)
+        if unanswered:
+            raise AllReplicasFailedError(
+                f"{unanswered} of {len(distinct)} distinct columns got no result"
+            )
+        return [answers[slot] for slot in slots]  # type: ignore[misc]

@@ -50,7 +50,7 @@ from repro.dist.journal import JOURNAL_VERSION, BuildJournal, corpus_digest
 from repro.index.builder import merge_runs_to_index
 from repro.index.index import IndexMeta
 from repro.index.store import verify_run_payload
-from repro.service.parallel import weighted_chunks
+from repro.util import weighted_chunks
 
 #: Windows per healthy worker: enough slack for LPT rebalancing and for
 #: reassignment to matter (a dead worker's windows spread over the rest),

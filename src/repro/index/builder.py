@@ -57,6 +57,7 @@ from repro.index.index import (
     PatternIndex,
     shard_of,
 )
+from repro.util import weighted_chunks
 
 #: Fixed-point scale of the exact impurity accumulators (see module doc).
 FPR_FIXED_BITS = 105
@@ -600,13 +601,11 @@ def _scan_columns_parallel(
     """Stream columns through a spawn pool in size-balanced windows.
 
     The parent materializes at most one window of columns; each window is
-    LPT-packed into per-worker chunks by value count (the
-    ``weighted_chunks`` scheduler the batch-inference engine uses) and
-    gathered before the next window is read, so producer speed can never
-    buffer the whole corpus into the pool's queue.
+    LPT-packed into per-worker chunks by value count
+    (:func:`repro.util.weighted_chunks`) and gathered before the next
+    window is read, so producer speed can never buffer the whole corpus
+    into the pool's queue.
     """
-    from repro.service.parallel import weighted_chunks
-
     context = multiprocessing.get_context("spawn")
     run_paths: list[Path] = []
     columns_scanned = values_scanned = 0

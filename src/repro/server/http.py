@@ -1,4 +1,4 @@
-"""A dependency-free asyncio HTTP server over ``AsyncValidationService``.
+"""A dependency-free asyncio HTTP server over a ``ValidationService``.
 
 The paper's deployment story (§7) is validation served "at interactive
 speed" inside production pipelines; this module is that serving edge.  It
@@ -14,7 +14,7 @@ Routes (wire schema in ``src/repro/api/WIRE.md``):
 ``POST /v1/validate``     :class:`ValidateRequest` -> :class:`ValidateResponse`
 ``POST /v1/infer_batch``  :class:`BatchEnvelope` of ``InferRequest`` ->
                           ``BatchEnvelope`` of ``InferResponse`` (in order,
-                          through the service's parallel/cached batch path)
+                          through the service's cached batch path)
 ``POST /admin/config``    :class:`AdminConfigRequest` ->
                           :class:`AdminConfigResponse` — hot config reload
                           (loopback peers only; see below)
@@ -33,6 +33,13 @@ page-fault speed — while ``--prefetch`` is still warming the page cache,
 ``/healthz`` answers ``503 {"status": "loading", ...}`` so load balancers
 keep routing around it, and flips to 200 the moment the warm-up finishes.
 Deployments without prefetch are ready immediately.
+
+Service calls run on the default thread pool (:func:`asyncio.to_thread`;
+the service is thread-safe) behind a ``max_concurrency`` semaphore, so a
+traffic spike cannot pile an unbounded number of CPU-bound inferences
+onto the executor; a batch counts as one unit.  One server is one
+process: to use more cores, run N servers on the same index behind
+:class:`repro.dist.RoundRobinClient`.
 
 Inference routes are guarded by a per-tenant token-bucket rate limiter
 keyed on the ``X-Tenant`` header (:mod:`repro.server.ratelimit`); an
@@ -58,7 +65,7 @@ in-flight requests before the process exits 0
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
 from repro.api.wire import (
     AdminConfigRequest,
@@ -82,7 +89,7 @@ from repro.server.base import (
     _is_loopback,
 )
 from repro.server.ratelimit import TenantRateLimiter
-from repro.service.async_service import AsyncValidationService
+from repro.service.service import ValidationService
 from repro.validate.result import RuleSerializationError
 from repro.validate.rule import dumps_canonical
 
@@ -93,20 +100,26 @@ __all__ = [
     "ValidationHTTPServer",
 ]
 
+T = TypeVar("T")
+
 
 class ValidationHTTPServer(BaseHTTPServer):
-    """Serves one :class:`AsyncValidationService` over HTTP."""
+    """Serves one :class:`ValidationService` over HTTP."""
 
     def __init__(
         self,
-        service: AsyncValidationService,
+        service: ValidationService,
         host: str = "127.0.0.1",
         port: int = 8080,
         rate_limiter: TenantRateLimiter | None = None,
         max_inflight: int | None = None,
+        max_concurrency: int = 32,
     ):
+        if max_concurrency < 1:
+            raise ValueError("max_concurrency must be >= 1")
         super().__init__(host, port, max_inflight=max_inflight)
         self.service = service
+        self._semaphore = asyncio.Semaphore(max_concurrency)
         self.rate_limiter = rate_limiter or TenantRateLimiter(rate=0.0, burst=1.0)
         self.rate_limited_total = 0
         self._routes.update(
@@ -118,6 +131,11 @@ class ValidationHTTPServer(BaseHTTPServer):
                 "/admin/config": (self._handle_admin_config, "POST"),
             }
         )
+
+    async def _call(self, fn: Callable[..., T], *args: Any) -> T:
+        """Run one service call on a worker thread, under the bound."""
+        async with self._semaphore:
+            return await asyncio.to_thread(fn, *args)
 
     # -- admission -----------------------------------------------------------
 
@@ -188,7 +206,7 @@ class ValidationHTTPServer(BaseHTTPServer):
         is open.
         """
         return bool(
-            getattr(self.service.service.index, "prefetch_pending", False)
+            getattr(self.service.index, "prefetch_pending", False)
         )
 
     async def _handle_healthz(self, _body: bytes) -> Response:
@@ -220,7 +238,6 @@ class ValidationHTTPServer(BaseHTTPServer):
             "space_hit_rate": stats.space_hit_rate,
             "generation": stats.generation,
             "invalidations": stats.invalidations,
-            "parallel_batches": stats.parallel_batches,
             "index_format": stats.index_format,
             "rate_limited_total": self.rate_limited_total,
             "ready": not self._index_warming(),
@@ -230,7 +247,7 @@ class ValidationHTTPServer(BaseHTTPServer):
             "config": {
                 "rate": self.rate_limiter.rate,
                 "burst": self.rate_limiter.burst,
-                "variant": self.service.default_variant,
+                "variant": self.service.variant,
             },
         }
 
@@ -248,21 +265,25 @@ class ValidationHTTPServer(BaseHTTPServer):
         return AdminConfigResponse(
             rate=self.rate_limiter.rate,
             burst=self.rate_limiter.burst,
-            variant=self.service.default_variant,
+            variant=self.service.variant,
             generation=stats.generation,
             index_format=stats.index_format,
         ).to_json()
 
     async def _handle_infer(self, body: bytes) -> str:
         request = InferRequest.from_json(body)
-        result = await self.service.infer(list(request.values), request.variant)
+        result = await self._call(
+            self.service.infer, list(request.values), request.variant
+        )
         return InferResponse(
             result=result, generation=self.service.stats().generation
         ).to_json()
 
     async def _handle_validate(self, body: bytes) -> str:
         request = ValidateRequest.from_json(body)
-        report = await self.service.validate(request.rule, list(request.values))
+        report = await self._call(
+            self.service.validate, request.rule, list(request.values)
+        )
         return ValidateResponse(report=report).to_json()
 
     async def _handle_infer_batch(self, batch: BatchEnvelope) -> str:
@@ -281,8 +302,10 @@ class ValidationHTTPServer(BaseHTTPServer):
             by_variant.setdefault(item.variant, []).append(i)
         results: list = [None] * len(batch.items)
         for variant, positions in by_variant.items():
-            outcomes = await self.service.infer_many(
-                [list(batch.items[i].values) for i in positions], variant
+            outcomes = await self._call(
+                self.service.infer_many,
+                [list(batch.items[i].values) for i in positions],
+                variant,
             )
             for i, outcome in zip(positions, outcomes):
                 results[i] = outcome

@@ -1,25 +1,20 @@
-"""Service layer: cached, batch-capable, parallel inference over an index.
+"""Service layer: cached, batch-capable inference over an index.
 
 This is the recommended entry point for serving validation traffic; see
-:class:`ValidationService` (synchronous, thread-safe, with a spawn-safe
-process-pool batch path) and :class:`AsyncValidationService` (asyncio
-front end).  The CLI's ``infer`` command and the latency benchmark
-(Figure 14) both run through it.
+:class:`ValidationService` (synchronous, thread-safe, digest-keyed
+caches).  The CLI's ``infer`` and ``serve`` commands and the latency
+benchmark (Figure 14) all run through it.  To go wider than one process,
+run several ``auto-validate serve`` replicas behind
+:class:`repro.dist.RoundRobinClient`.
 """
 
-from repro.service.async_service import AsyncValidationService
 from repro.service.cache import HypothesisSpaceCache, column_digest
-from repro.service.parallel import ParallelExecutor, default_workers, weighted_chunks
 from repro.service.service import VARIANTS, ServiceStats, ValidationService
 
 __all__ = [
-    "AsyncValidationService",
     "HypothesisSpaceCache",
-    "ParallelExecutor",
     "ServiceStats",
     "VARIANTS",
     "ValidationService",
     "column_digest",
-    "default_workers",
-    "weighted_chunks",
 ]

@@ -54,8 +54,8 @@ class HypothesisSpaceCache:
     variants of one service: the key carries the enumeration fingerprint,
     so solvers configured differently never collide.
 
-    The cache is thread-safe (the asyncio front end runs lookups from a
-    thread pool): bookkeeping happens under a lock, while Algorithm 1
+    The cache is thread-safe (the HTTP server runs lookups from a thread
+    pool): bookkeeping happens under a lock, while Algorithm 1
     itself runs outside it so concurrent misses on *different* columns
     overlap.  Two simultaneous misses on the same column may both compute,
     but the first insert wins and both callers receive the same stored
@@ -85,12 +85,6 @@ class HypothesisSpaceCache:
         """Stamp subsequent entries with ``token``; older ones go stale."""
         with self._lock:
             self.generation = token
-
-    def merge_delta(self, hits: int, misses: int) -> None:
-        """Fold a worker process's hit/miss delta into these counters."""
-        with self._lock:
-            self.hits += hits
-            self.misses += misses
 
     def get(
         self,

@@ -16,33 +16,28 @@ Rule evaluation relies on the process-wide compiled-regex memoization of
 thousands of columns sharing a handful of rules touches the regex
 compiler a handful of times.
 
-Three scaling mechanisms sit on top of the single-call path:
+**Cache generations** keep those caches honest: every cache entry is
+stamped with a generation token derived from the index content digest
+(:meth:`repro.index.index.PatternIndex.content_digest`).  A service
+opened with :meth:`from_path` watches the on-disk manifest: rebuilding the
+index under the same path is detected on the next call, the index is
+reloaded and stale cache entries are never served — no manual
+:meth:`clear_caches` required.  :meth:`swap_index` does the same for
+in-memory replacement.
 
-* **Parallel batches** — ``infer_many``/``validate_many`` fan large
-  batches across a spawn-safe process pool
-  (:class:`~repro.service.parallel.ParallelExecutor`); small batches stay
-  serial because pool startup would dominate.  Worker cache-stat deltas
-  are merged back, and worker results warm this service's result cache.
-* **Cache generations** — every cache entry is stamped with a generation
-  token derived from the index content digest
-  (:meth:`repro.index.index.PatternIndex.content_digest`).  A service
-  opened with :meth:`from_path` watches the on-disk manifest: rebuilding
-  the index under the same path is detected on the next call, the index
-  is reloaded and stale cache entries are never served — no manual
-  :meth:`clear_caches` required.  :meth:`swap_index` does the same for
-  in-memory replacement.
-* **Async front end** — :class:`repro.service.AsyncValidationService`
-  wraps a service for asyncio servers; service methods are thread-safe
-  (cache bookkeeping is lock-guarded; solving runs outside the locks).
+Service methods are thread-safe (cache bookkeeping is lock-guarded;
+solving runs outside the locks), which is what lets the HTTP server
+(:class:`repro.server.ValidationHTTPServer`) run them on the default
+thread pool.  Per-column inference is independent, so scaling out is
+routing columns: N ``auto-validate serve`` processes behind
+:class:`repro.dist.RoundRobinClient`, each with its own service.
 
-The service object itself is cheap (solvers, caches and the process pool
-are built lazily) and one instance is intended to be long-lived and shared
-per process.
+The service object itself is cheap (solvers and caches are built lazily)
+and one instance is intended to be long-lived and shared per process.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -54,7 +49,6 @@ from repro.config import DEFAULT_CONFIG, AutoValidateConfig
 from repro.index.index import PatternIndex, StaleIndexError
 from repro.index.store import open_index, store_digest
 from repro.service.cache import HypothesisSpaceCache, column_digest
-from repro.service.parallel import ParallelExecutor, index_spec_for
 from repro.validate.fmdv import FMDV, InferenceResult
 from repro.validate.rule import ValidationReport, ValidationRule
 
@@ -73,8 +67,6 @@ class ServiceStats:
     generation: str = ""
     #: How many times an index rebuild/replacement invalidated the caches.
     invalidations: int = 0
-    #: Batches dispatched to the process pool so far.
-    parallel_batches: int = 0
     #: On-disk layout backing the served index ("memory", "v2", "v3").
     index_format: str = "memory"
 
@@ -92,7 +84,7 @@ class ServiceStats:
 
 
 class ValidationService:
-    """Batch-capable, cached, parallelizable inference over one index."""
+    """Batch-capable, cached inference over one index."""
 
     def __init__(
         self,
@@ -101,9 +93,6 @@ class ValidationService:
         variant: str = "fmdv-vh",
         space_cache_size: int = 1024,
         result_cache_size: int = 4096,
-        workers: int | None = None,
-        min_batch_for_parallel: int | None = None,
-        parallel_backend: str | None = None,
     ) -> None:
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; choose from {sorted(VARIANTS)}")
@@ -118,11 +107,6 @@ class ValidationService:
         self._result_hits = 0  # guarded-by: _lock
         self._invalidations = 0  # guarded-by: _lock
         self._lock = threading.RLock()
-        self._executor = ParallelExecutor(
-            workers=workers,
-            min_batch_for_parallel=min_batch_for_parallel,
-            backend=parallel_backend,
-        )
         # Generation tracking: the token every cache entry is stamped with.
         self._index_path: Path | None = None
         self._prefetch = False
@@ -320,28 +304,19 @@ class ValidationService:
         self,
         columns: Iterable[Sequence[str]],
         variant: str | None = None,
-        workers: int | None = None,
     ) -> list[InferenceResult]:
         """Infer rules for a batch of columns, in input order.
 
-        Small batches run serially through :meth:`infer` (duplicates are
-        answered by the caches).  Batches of at least
-        ``min_batch_for_parallel`` columns — or any batch when the
-        ``process`` backend is forced — fan out across the spawn-safe
-        worker pool; results are byte-for-byte what the serial path
-        produces, worker cache-stat deltas are merged into this service's
-        counters, and worker results warm the local result cache.
-        ``workers=1`` forces the serial path for this call.
+        Each column is hashed once; what the result cache already knows is
+        resolved in one pass, and the misses are solved in order through
+        :meth:`infer`'s path, so a column repeated inside the batch is
+        solved once and its repeats are result-cache hits.
         """
         self._check_generation()
         batch = [list(values) for values in columns]
         solver = self.solver(variant)
-        solver_variant = solver.variant
-
-        # Resolve what the local result cache already knows; only genuine
-        # misses are worth shipping to worker processes.
         keys = [
-            (self._generation, column_digest(values), solver_variant)
+            (self._generation, column_digest(values), solver.variant)
             for values in batch
         ]
         resolved: list[InferenceResult | None] = [None] * len(batch)
@@ -356,49 +331,8 @@ class ValidationService:
                     resolved[i] = cached
                 else:
                     miss_positions.append(i)
-
-        # Deduplicate misses by cache key: only the first occurrence of a
-        # repeated column is solved (in a worker); the repeats resolve from
-        # its result and are accounted as cache hits, exactly like the
-        # serial path where the second occurrence hits mid-batch.
-        first_position: dict[tuple[str, str, str], int] = {}
-        unique_positions: list[int] = []
         for i in miss_positions:
-            if keys[i] not in first_position:
-                first_position[keys[i]] = i
-                unique_positions.append(i)
-
-        use_pool = self._executor.should_parallelize(len(unique_positions)) and (
-            workers is None or workers > 1
-        )
-        if not use_pool:
-            # Serial fallback reuses the digests computed above — no second
-            # hash of every column, no per-column re-stat of the index path.
-            for i in miss_positions:
-                resolved[i] = self._infer_with_key(batch[i], keys[i], solver)
-            return resolved  # type: ignore[return-value]
-
-        results, delta = self._executor.infer_many(
-            [batch[i] for i in unique_positions],
-            variant,
-            index_spec=index_spec_for(self.index, self._index_path),
-            config=self.config,
-            default_variant=self.variant,
-            generation=self._generation,
-            digests=[keys[i][1] for i in unique_positions],
-        )
-        n_duplicates = len(miss_positions) - len(unique_positions)
-        with self._lock:
-            self._inferences += delta["inferences"] + n_duplicates
-            self._result_hits += delta["result_cache_hits"] + n_duplicates
-        self.space_cache.merge_delta(
-            delta["space_cache_hits"], delta["space_cache_misses"]
-        )
-        for i, result in zip(unique_positions, results):
-            resolved[i] = self._store_result(keys[i], result)
-        for i in miss_positions:
-            if resolved[i] is None:
-                resolved[i] = resolved[first_position[keys[i]]]
+            resolved[i] = self._infer_with_key(batch[i], keys[i], solver)
         return resolved  # type: ignore[return-value]
 
     # -- validation ----------------------------------------------------------
@@ -411,7 +345,6 @@ class ValidationService:
         self,
         rules: ValidationRule | Sequence[ValidationRule],
         columns: Sequence[Sequence[str]],
-        workers: int | None = None,
     ) -> list[ValidationReport]:
         """Validate a batch of columns.
 
@@ -419,8 +352,7 @@ class ValidationService:
         sequence aligned with ``columns``.  Each distinct pattern's regex
         is compiled once (``Pattern.compiled`` memoizes process-wide), so
         a batch sharing a handful of rules touches the compiler a handful
-        of times.  Large batches fan out across the worker pool under the
-        same policy as :meth:`infer_many`.
+        of times.
         """
         if isinstance(rules, ValidationRule):
             rules = [rules] * len(columns)
@@ -432,19 +364,7 @@ class ValidationService:
                     "pass one rule per column or a single rule"
                 )
         self._check_generation()
-        use_pool = self._executor.should_parallelize(len(columns)) and (
-            workers is None or workers > 1
-        )
-        if not use_pool:
-            return [rule.validate(values) for rule, values in zip(rules, columns)]
-        return self._executor.validate_many(
-            rules,
-            [list(values) for values in columns],
-            index_spec=index_spec_for(self.index, self._index_path),
-            config=self.config,
-            default_variant=self.variant,
-            generation=self._generation,
-        )
+        return [rule.validate(values) for rule, values in zip(rules, columns)]
 
     # -- observability -------------------------------------------------------
 
@@ -459,7 +379,6 @@ class ValidationService:
                 space_cache_size=len(self.space_cache),
                 generation=self._generation,
                 invalidations=self._invalidations,
-                parallel_batches=self._executor.parallel_batches,
                 index_format=self.index.storage_format,
             )
 
@@ -477,12 +396,10 @@ class ValidationService:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent; GC also reclaims it)."""
-        self._executor.close()
-
+    # A context manager for callers that scope a service with ``with``; the
+    # service holds no process, thread or handle that needs releasing.
     def __enter__(self) -> "ValidationService":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        pass

@@ -3,9 +3,35 @@
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 K = TypeVar("K")
+
+
+def weighted_chunks(weights: Sequence[int], n_chunks: int) -> list[list[int]]:
+    """Partition item indices into at most ``n_chunks`` load-balanced bins.
+
+    Greedy LPT (longest-processing-time) scheduling: items sorted by weight
+    descending go to the currently lightest bin.  Per-column work scales
+    with the column's value count, so contiguous equal-*count* chunks let
+    one huge column straggle a worker while its siblings idle.
+    Deterministic: ties break toward the lower item index / lower bin id;
+    each bin's indices come back sorted ascending and no bin is empty.
+    """
+    n_items = len(weights)
+    n_chunks = max(1, min(n_chunks, n_items))
+    order = sorted(range(n_items), key=lambda i: (-weights[i], i))
+    loads = [0] * n_chunks
+    fill = [0] * n_chunks  # tie-break: spread equal-weight items round-robin
+    bins: list[list[int]] = [[] for _ in range(n_chunks)]
+    for i in order:
+        target = min(range(n_chunks), key=lambda b: (loads[b], fill[b], b))
+        bins[target].append(i)
+        loads[target] += weights[i]
+        fill[target] += 1
+    for chunk in bins:
+        chunk.sort()
+    return [chunk for chunk in bins if chunk]
 
 
 def most_common_stable(

@@ -736,7 +736,6 @@ class TestShippedTreeClean:
         for relative in (
             "src/repro/service/cache.py",
             "src/repro/service/service.py",
-            "src/repro/service/parallel.py",
         ):
             path = REPO_ROOT / relative
             module = ModuleContext.parse(path.read_text(encoding="utf-8"), str(path))
@@ -745,4 +744,4 @@ class TestShippedTreeClean:
                     if rule._guarded_attributes(module, node):
                         annotated_classes += 1
             assert list(rule.check(module)) == []
-        assert annotated_classes >= 3
+        assert annotated_classes >= 2

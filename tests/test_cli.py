@@ -133,36 +133,6 @@ class TestShardedIndexAndBatch:
         ])
         assert code == 2
 
-    def test_infer_batch_with_workers(self, workspace, capsys):
-        """--workers N routes the batch through the parallel engine and
-        prints the same per-column report as the serial path."""
-        args_tail = [
-            "--column", str(workspace / "feed.txt"), str(workspace / "clean.txt"),
-            str(workspace / "feed.txt"),
-            "--min-coverage", "5",
-        ]
-        assert main([
-            "infer", "--index", str(workspace / "lake.idx"), "--workers", "1",
-            *args_tail,
-        ]) == 0
-        serial_out = capsys.readouterr().out
-        assert main([
-            "infer", "--index", str(workspace / "lake.idx"), "--workers", "2",
-            *args_tail,
-        ]) == 0
-        parallel_out = capsys.readouterr().out
-        assert parallel_out == serial_out
-        assert parallel_out.count("pattern:") == 3
-
-    def test_infer_rejects_negative_workers(self, workspace, capsys):
-        code = main([
-            "infer", "--index", str(workspace / "lake.idx"),
-            "--column", str(workspace / "feed.txt"),
-            "--workers", "-1",
-        ])
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
-
 
 class TestStoreFormatsAndMerge:
     def test_index_format_v3_writes_binary_directory(self, workspace, capsys):
@@ -240,7 +210,6 @@ class TestStoreFormatsAndMerge:
           "--corpus", "{ghost}"], "--corpus"),
         (["watch", "--state-dir", "{out}", "--index", "{ghost}", "--serve"],
          "--index"),
-        (["worker", "--serve-replica", "--index", "{ghost}"], "--index"),
     ])
     def test_missing_input_path_is_one_line_exit_2(
         self, workspace, tmp_path, capsys, argv, flag

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG, AutoValidateConfig
 from repro.core.enumeration import EnumerationConfig
-from repro.util import stable_seed
+from repro.util import stable_seed, weighted_chunks
 
 
 class TestAutoValidateConfig:
@@ -68,6 +68,39 @@ class TestStableSeed:
             outs.add(proc.stdout.strip())
         assert len(outs) == 1
         assert outs.pop() == str(stable_seed("enterprise", 42))
+
+
+class TestWeightedChunks:
+    def test_covers_everything_exactly_once(self):
+        for n_items in (1, 5, 16, 33):
+            for n_chunks in (1, 2, 7):
+                weights = [(i * 37) % 11 + 1 for i in range(n_items)]
+                bins = weighted_chunks(weights, n_chunks)
+                flat = sorted(i for chunk in bins for i in chunk)
+                assert flat == list(range(n_items))
+                assert all(chunk == sorted(chunk) for chunk in bins)
+                assert all(chunk for chunk in bins)
+
+    def test_skewed_batch_does_not_straggle_one_worker(self):
+        """One huge column plus many small ones: the huge column gets a bin
+        of its own and the small ones spread over the other bins."""
+        weights = [1000] + [10] * 9
+        bins = weighted_chunks(weights, 4)
+        loads = sorted(sum(weights[i] for i in chunk) for chunk in bins)
+        assert loads[-1] == 1000          # the giant is alone in its bin
+        assert max(loads[:-1]) <= 40      # small items balanced across the rest
+
+    def test_deterministic(self):
+        weights = [5, 1, 5, 3, 3, 8, 1, 1]
+        assert weighted_chunks(weights, 3) == weighted_chunks(list(weights), 3)
+
+    def test_equal_weights_spread_round_robin(self):
+        bins = weighted_chunks([7] * 6, 3)
+        assert sorted(len(chunk) for chunk in bins) == [2, 2, 2]
+
+    def test_zero_weight_items_still_distributed(self):
+        bins = weighted_chunks([0] * 8, 4)
+        assert sorted(len(chunk) for chunk in bins) == [2, 2, 2, 2]
 
 
 class TestCorpusGenerationStability:

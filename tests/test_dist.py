@@ -606,15 +606,13 @@ class TestReadinessSplit:
     @pytest.fixture()
     def server(self, small_index, small_config):
         from repro.server.http import ValidationHTTPServer
-        from repro.service import AsyncValidationService, ValidationService
+        from repro.service import ValidationService
 
-        service = ValidationService(small_index, small_config)
-        yield ValidationHTTPServer(AsyncValidationService(service))
-        service.close()
+        yield ValidationHTTPServer(ValidationService(small_index, small_config))
 
     def test_warming_index_answers_503_loading(self, server, monkeypatch):
         monkeypatch.setattr(
-            server.service.service.index, "prefetch_pending", True,
+            server.service.index, "prefetch_pending", True,
             raising=False,
         )
         status, payload = _dispatch(server, "GET", "/healthz")
@@ -656,6 +654,8 @@ class ScriptedReplicaTransport:
     def __init__(self, replicas: dict[str, dict]):
         self.replicas = replicas
         self.calls: list[tuple[str, str]] = []
+        #: (replica, the columns of one /v1/infer_batch POST)
+        self.batches: list[tuple[str, list[tuple[str, ...]]]] = []
 
     def get(self, url: str):
         base, _, path = url.partition("/healthz")
@@ -684,9 +684,14 @@ class ScriptedReplicaTransport:
         )
         if url.endswith("/v1/infer_batch"):
             request = BatchEnvelope.from_json(body)
+            self.batches.append((base, [item.values for item in request.items]))
             response = BatchEnvelope(
                 items=tuple(
-                    InferResponse(result=result) for _ in request.items
+                    InferResponse(result=InferenceResult(
+                        rule=None, variant="fmdv",
+                        reason=f"answered by {base}: {'|'.join(item.values)}",
+                    ))
+                    for item in request.items
                 )
             )
             return 200, response.to_json().encode()
@@ -721,6 +726,42 @@ class TestRoundRobinClient:
         assert len(results) == 5
         posts = [url for method, url in transport.calls if method == "POST"]
         assert len(posts) == 2  # one sub-batch per replica
+
+    def test_batch_dedupes_by_column_digest(self):
+        """A repeated column, or a permutation of one, is POSTed once."""
+        transport = ScriptedReplicaTransport({"http://r0": {}, "http://r1": {}})
+        client = RoundRobinClient(["http://r0", "http://r1"], transport=transport)
+        column, other = ["a", "b", "c"], ["x", "y"]
+        results = client.infer_batch([column, other, column[::-1], column])
+        posted = sorted(values for _, items in transport.batches for values in items)
+        assert posted == [tuple(column), tuple(other)]
+        assert results[0] is results[2] is results[3]
+        assert results[1] is not results[0]
+
+    def test_batch_duplicates_share_one_result(self):
+        """Results come back in input order, every distinct column is
+        solved once, and its repeats share that one result."""
+        transport = ScriptedReplicaTransport({"http://r0": {}, "http://r1": {}})
+        client = RoundRobinClient(["http://r0", "http://r1"], transport=transport)
+        columns = [[f"v{i}"] * (i + 1) for i in range(6)]
+        batch = columns * 2  # 12 columns, 6 distinct
+        results = client.infer_batch(batch)
+        assert len(results) == 12
+        for values, result in zip(batch, results):
+            assert result.reason.endswith(": " + "|".join(values))
+        for i in range(6):
+            assert results[i] is results[i + 6]
+        assert sum(len(items) for _, items in transport.batches) == 6
+
+    def test_batch_split_balances_value_counts(self):
+        """One huge column gets a replica to itself; the small ones go to
+        the other, instead of alternating by position."""
+        transport = ScriptedReplicaTransport({"http://r0": {}, "http://r1": {}})
+        client = RoundRobinClient(["http://r0", "http://r1"], transport=transport)
+        big = [str(i) for i in range(100)]
+        client.infer_batch([["a"], big, ["b"], ["c"]])
+        sizes = sorted(sum(map(len, items)) for _, items in transport.batches)
+        assert sizes == [3, 100]
 
     def test_failover_to_next_replica(self):
         transport = ScriptedReplicaTransport({

@@ -20,7 +20,7 @@ import pytest
 from repro.api.wire import ErrorResponse
 from repro.dist.worker import ScanWorkerServer
 from repro.server.http import ValidationHTTPServer
-from repro.service import AsyncValidationService, ValidationService
+from repro.service import ValidationService
 from repro.watch import WatchHTTPServer, WatchService
 
 BASE_COUNTERS = {
@@ -37,7 +37,7 @@ EDGES = {
             "inferences", "result_cache_hits", "result_cache_size",
             "result_hit_rate", "space_cache_hits", "space_cache_misses",
             "space_cache_size", "space_hit_rate", "generation",
-            "invalidations", "parallel_batches", "index_format",
+            "invalidations", "index_format",
             "rate_limited_total", "ready", "tenants", "config",
         },
     },
@@ -71,11 +71,9 @@ def edge(request, tmp_path, small_index, small_config):
     """``(contract, server)`` for one of the three edges (not listening)."""
     name = request.param
     if name == "serve":
-        service = ValidationService(small_index, small_config)
         yield EDGES[name], ValidationHTTPServer(
-            AsyncValidationService(service), port=0
+            ValidationService(small_index, small_config), port=0
         )
-        service.close()
     elif name == "watch":
         yield EDGES[name], WatchHTTPServer(
             WatchService(tmp_path / "watch"), port=0

@@ -552,22 +552,3 @@ class TestMergeErrorMessages:
         b = PatternIndex({}, IndexMeta(tau=8))
         with pytest.raises(ValueError, match="tau: ?|tau"):
             a.merge(b)
-
-
-# -- parallel workers over a v3 index -----------------------------------------
-
-
-def test_worker_spec_ships_v3_path(tmp_path):
-    """Spawn-safety: a v3 index travels to worker processes as its path,
-    never as pickled mmap state."""
-    from repro.service.parallel import _index_from_spec, index_spec_for
-
-    index = _random_index(random.Random(300), 30)
-    out = tmp_path / "idx.v3"
-    save_index(index, out, format="v3", n_shards=4)
-    loaded = open_index(out)
-    spec = index_spec_for(loaded)
-    assert spec == ("path", str(out))
-    reopened = _index_from_spec(spec)
-    assert isinstance(reopened, MmapShardedPatternIndex)
-    assert dict(reopened.items()) == dict(index.items())

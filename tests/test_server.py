@@ -26,7 +26,7 @@ from repro.datalake.domains import DOMAIN_REGISTRY
 from repro.index.store import save_index
 from repro.server.http import ValidationHTTPServer
 from repro.server.ratelimit import TenantRateLimiter, TokenBucket
-from repro.service import AsyncValidationService, ValidationService
+from repro.service import ValidationService
 from repro.validate.rule import ValidationRule
 
 import asyncio
@@ -116,7 +116,7 @@ class RunningServer:
 
     async def _start(self, service, server_kwargs) -> ValidationHTTPServer:
         server = ValidationHTTPServer(
-            AsyncValidationService(service), port=0, **server_kwargs
+            service, port=0, **server_kwargs
         )
         await server.start()
         return server
@@ -156,7 +156,6 @@ def served(small_index, small_config):
     running = RunningServer(service)
     yield running
     running.close()
-    service.close()
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +245,7 @@ class TestRoutes:
             "inferences", "result_cache_hits", "result_cache_size",
             "result_hit_rate", "space_cache_hits", "space_cache_misses",
             "space_cache_size", "space_hit_rate", "generation",
-            "invalidations", "parallel_batches", "requests_total",
+            "invalidations", "requests_total",
             "rate_limited_total", "errors_total", "tenants",
         ):
             assert key in payload, key
@@ -348,7 +347,6 @@ class TestRateLimiting:
         )
         yield running
         running.close()
-        service.close()
 
     def test_burst_exhaustion_answers_429(self, limited, feed_values):
         body = InferRequest(values=tuple(feed_values[:5])).to_json()
@@ -504,7 +502,6 @@ class TestAdminConfig:
         )
         yield running, service
         running.close()
-        service.close()
 
     def test_update_rate_and_burst(self, reloadable):
         running, _ = reloadable
@@ -601,7 +598,6 @@ class TestAdminConfig:
             assert statuses == [200] * 5
         finally:
             running.close()
-            service.close()
 
     def test_loopback_guard_classifies_peers(self):
         from repro.server.http import _is_loopback
@@ -618,7 +614,7 @@ class TestAdminConfig:
         """Dispatch with a routed peer address: 403 before any config is
         touched (exercised directly — tests cannot dial in from off-box)."""
         service = ValidationService(small_index, small_config)
-        server = ValidationHTTPServer(AsyncValidationService(service))
+        server = ValidationHTTPServer(service)
         body = json.dumps({"v": 1, "type": "admin_config_request", "rate": 1.0})
         status, payload, _ = asyncio.run(
             server._dispatch(
@@ -628,7 +624,6 @@ class TestAdminConfig:
         assert status == 403
         assert json.loads(payload)["code"] == "forbidden"
         assert not server.rate_limiter.enabled  # nothing was applied
-        service.close()
 
     def test_reconfigured_limits_apply_immediately(self, reloadable, feed_values):
         running, _ = reloadable

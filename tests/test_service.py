@@ -136,6 +136,40 @@ class TestServiceInference:
                 assert a.rule.pattern == b.rule.pattern
         assert batch_service.stats().result_cache_hits == 1
 
+    NAMES = ["datetime_slash", "guid", "phone_us", "locale_lower",
+             "status", "zip9", "currency_usd", "country2", "time_hms"]
+
+    def test_batch_stats_account_every_column(self, small_index, small_config):
+        service = ValidationService(small_index, small_config, variant="fmdv")
+        service.infer_many([_column(name, 400 + i) for i, name in enumerate(self.NAMES[:6])])
+        stats = service.stats()
+        assert stats.inferences == 6
+        assert stats.space_cache_misses == 6  # Algorithm 1 ran once per column
+        assert stats.result_cache_size == 6
+
+    def test_repeated_batch_is_answered_from_the_result_cache(
+        self, small_index, small_config
+    ):
+        service = ValidationService(small_index, small_config, variant="fmdv")
+        batch = [_column(name, 500 + i) for i, name in enumerate(self.NAMES)]
+        first = service.infer_many(batch)
+        before = service.stats()
+        second = service.infer_many(batch)
+        after = service.stats()
+        assert all(a is b for a, b in zip(first, second))
+        assert after.result_cache_hits - before.result_cache_hits == len(batch)
+        assert after.space_cache_misses == before.space_cache_misses
+
+    def test_path_opened_batch_matches_in_memory(
+        self, small_index, small_config, tmp_path
+    ):
+        out = tmp_path / "disk.v2"
+        save_index(small_index, out, format="v2", n_shards=8)
+        batch = [_column(name, 700 + i) for i, name in enumerate(self.NAMES[:4])]
+        on_disk = ValidationService.from_path(out, small_config, variant="fmdv")
+        in_memory = ValidationService(small_index, small_config, variant="fmdv")
+        assert on_disk.infer_many(batch) == in_memory.infer_many(batch)
+
     def test_vertical_segments_feed_the_space_cache(self, small_index, small_config, rng):
         """Near-duplicate composites share per-segment hypothesis spaces."""
         dt = DOMAIN_REGISTRY["datetime_slash"]
