@@ -73,7 +73,7 @@ import math
 import os
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,7 +87,9 @@ from repro.core.tokenizer import (
     CharClass,
     GroupTokenArrays,
     Token,
+    TokenizedColumn,
     alnum_runs,
+    alnum_runs_of,
     alnum_signature,
     group_token_arrays,
     signature,
@@ -377,6 +379,10 @@ def enumerate_column_patterns(
     ``group_cache`` optionally memoizes per-signature-group results across
     columns (the offline builder's signature-sketch cache); it must have
     been created for this exact ``config``.
+
+    A :class:`~repro.core.tokenizer.TokenizedColumn` (the vertical DP's
+    sub-columns) is read from its counts and lexer facts; the output is
+    the same as for the plain list of its values.
     """
     if len(values) == 0:
         return []
@@ -388,7 +394,11 @@ def enumerate_column_patterns(
     # distinct value, not once per occurrence.  Empty values are excluded
     # here AND from the retention denominator ``n`` (they can never match a
     # pattern; see the module doc's empty-value semantics).
-    value_counts: Counter[str] = Counter(v for v in values if v)
+    value_counts: dict[str, int]
+    if isinstance(values, TokenizedColumn):
+        value_counts = {v: c for v, c in values.counts.items() if v}
+    else:
+        value_counts = Counter(v for v in values if v)
     n = sum(value_counts.values())
     if n == 0:
         return []
@@ -398,12 +408,7 @@ def enumerate_column_patterns(
     aggregated: dict[Pattern, int] = {}
     budget = config.max_patterns
 
-    passes: list[tuple] = []
-    if config.enumerate_alnum_runs:
-        passes.append(("alnum", alnum_signature, alnum_runs, True))
-    passes.append(("fine", signature, tokenize, False))
-
-    for pass_tag, signature_fn, tokens_fn, merge_alnum in passes:
+    for pass_tag, signature_fn, tokens_fn, merge_alnum in _granularities(values, config):
         if budget <= 0:
             break
         by_signature: dict[tuple[str, ...], dict[str, int]] = defaultdict(dict)
@@ -444,6 +449,32 @@ def enumerate_column_patterns(
         for p, c in aggregated.items()
         if c >= min_count
     ]
+
+
+def _granularities(
+    values: Sequence[str], config: EnumerationConfig
+) -> Iterator[tuple[str, Callable, Callable, bool]]:
+    """``(tag, signature_fn, tokens_fn, merge_alnum)`` per enumeration pass.
+
+    The per-value facts come from the memoized lexer for plain strings,
+    and from the facts a :class:`TokenizedColumn` carries (whose
+    sub-values are seen once and would only churn the memo tables).
+    Either way the passes see the same signatures and runs.
+    """
+    if not isinstance(values, TokenizedColumn):
+        if config.enumerate_alnum_runs:
+            yield ("alnum", alnum_signature, alnum_runs, True)
+        yield ("fine", signature, tokenize, False)
+        return
+    fine = values.tokens
+    if config.enumerate_alnum_runs:
+        yield (
+            "alnum",
+            values.alnum_signatures.__getitem__,
+            lambda v: alnum_runs_of(fine[v]),  # only the pure kernel asks
+            True,
+        )
+    yield ("fine", values.signatures.__getitem__, fine.__getitem__, False)
 
 
 def hypothesis_space(

@@ -20,7 +20,7 @@ import enum
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -140,8 +140,13 @@ def signature(value: str) -> Signature:
     >>> signature("Mar 02")
     ('L', ' ', 'D')
     """
+    return signature_of(tokenize(value))
+
+
+def signature_of(tokens: Sequence[Token]) -> Signature:
+    """:func:`signature` of an already tokenized value (not memoized)."""
     parts: list[str] = []
-    for token in tokenize(value):
+    for token in tokens:
         if token.cls is CharClass.DIGIT:
             parts.append("D")
         elif token.cls is CharClass.LETTER:
@@ -163,8 +168,13 @@ def alnum_runs(value: str) -> tuple[Token, ...]:
     >>> [t.text for t in alnum_runs("b216-57a0")]
     ['b216', '-', '57a0']
     """
+    return alnum_runs_of(tokenize(value))
+
+
+def alnum_runs_of(tokens: Sequence[Token]) -> tuple[Token, ...]:
+    """:func:`alnum_runs` of an already tokenized value (not memoized)."""
     merged: list[Token] = []
-    for token in tokenize(value):
+    for token in tokens:
         if token.cls is CharClass.SYMBOL:
             merged.append(token)
         elif merged and merged[-1].cls is CharClass.ALNUM:
@@ -298,10 +308,72 @@ def alnum_signature(value: str) -> Signature:
     >>> alnum_signature("b216-57a0")
     ('A', '-', 'A')
     """
+    return collapse_alnum(signature(value))
+
+
+def collapse_alnum(sig: Signature) -> Signature:
+    """:func:`alnum_signature` from a fine :func:`signature`.
+
+    Adjacent ``"D"``/``"L"`` parts become one ``"A"``; symbol parts never
+    contain an ASCII letter, so they cannot be mistaken for class parts.
+
+    >>> collapse_alnum(signature("b216-57a0"))
+    ('A', '-', 'A')
+    """
     parts: list[str] = []
-    for token in alnum_runs(value):
-        if token.cls is CharClass.ALNUM:
-            parts.append("A")
+    for part in sig:
+        if part == "D" or part == "L":
+            if not parts or parts[-1] != "A":
+                parts.append("A")
         else:
-            parts.append(sys.intern(token.text))
+            parts.append(part)
     return tuple(parts)
+
+
+class TokenizedColumn(Sequence[str]):
+    """A column given by its distinct values' counts and lexer facts.
+
+    It reads as the list of values it stands for (each distinct value
+    repeated ``counts[value]`` times, in ``counts`` order), so any
+    consumer of a ``Sequence[str]`` accepts it.  Consumers that know the
+    type skip the expansion and the re-lexing: enumeration reads
+    ``tokens``, ``signatures`` and ``alnum_signatures`` instead of calling
+    the memoized lexer, and :func:`repro.service.cache.column_digest`
+    hashes ``counts``.
+
+    For every key ``v`` of ``counts`` the three maps must hold
+    ``tokenize(v)``, ``signature(v)`` and ``alnum_signature(v)``; that is
+    what makes both paths give the same answers.
+    """
+
+    __slots__ = ("counts", "tokens", "signatures", "alnum_signatures", "_total", "_expanded")
+
+    def __init__(
+        self,
+        counts: dict[str, int],
+        tokens: dict[str, tuple[Token, ...]],
+        signatures: dict[str, Signature],
+        alnum_signatures: dict[str, Signature],
+    ) -> None:
+        self.counts = counts
+        self.tokens = tokens
+        self.signatures = signatures
+        self.alnum_signatures = alnum_signatures
+        self._total = sum(counts.values())
+        self._expanded: list[str] | None = None
+
+    def __len__(self) -> int:
+        return self._total
+
+    def _values(self) -> list[str]:
+        if self._expanded is None:
+            self._expanded = [
+                value for value, count in self.counts.items() for _ in range(count)
+            ]
+        return self._expanded
+
+    def __getitem__(self, index):  # type: ignore[override]
+        return self._values()[index]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._values())

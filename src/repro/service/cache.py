@@ -8,6 +8,11 @@ pipeline, the per-segment sub-columns the vertical DP carves out of sibling
 composites — so an LRU keyed by (value-multiset digest, min_coverage, knob
 fingerprint) turns almost all of that work into a dict hit.
 
+The digest is computed from the (value, count) pairs.  The vertical DP's
+sub-columns arrive as :class:`~repro.core.tokenizer.TokenizedColumn`
+objects that already carry their counts, so they are hashed without being
+expanded into one string per row.
+
 The multiset key means two permutations of the same column share one cache
 entry.  That is *sound*, not just convenient: enumeration guarantees a
 determinism contract (see ``repro.core.enumeration``) under which its
@@ -25,15 +30,17 @@ from collections import Counter, OrderedDict
 from typing import Sequence
 
 from repro.core.enumeration import EnumerationConfig, PatternStats, hypothesis_space
+from repro.core.tokenizer import TokenizedColumn
 
 
 def column_digest(values: Sequence[str]) -> str:
     """Stable 128-bit digest of a column's value multiset.
 
     Independent of value order and of ``PYTHONHASHSEED`` (BLAKE2b over the
-    sorted (value, count) pairs).
+    sorted (value, count) pairs).  A :class:`TokenizedColumn` contributes
+    its counts directly, without being expanded into values.
     """
-    counter = Counter(values)
+    counter = values.counts if isinstance(values, TokenizedColumn) else Counter(values)
     h = hashlib.blake2b(digest_size=16)
     for value, count in sorted(counter.items()):
         # length-prefixed encoding: values may contain any byte, so

@@ -14,6 +14,14 @@ bottom-up dynamic program over aligned token intervals; each interval's
 "no-split" score is a basic FMDV solve on the corresponding sub-column.
 Segment spans are capped at τ, which is what lets offline indexing skip
 columns wider than τ tokens without losing quality.
+
+Cost: each distinct value is tokenized once, and aligning d distinct values
+to width w costs O(d·w) profile work plus O(d·w²) Needleman-Wunsch
+(:mod:`repro.core.alignment`).  Every sub-column's hypothesis space is then
+enumerated from the aligned token rows (:meth:`AlignedColumn.sub_column`),
+so no sub-value is joined into a string per row or lexed again.  Columns
+whose longest value already exceeds :data:`MAX_ALIGNED_WIDTH` tokens are
+refused before any alignment work.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from typing import Sequence
 from repro.core.alignment import AlignedColumn, align_column
 from repro.core.atoms import Atom
 from repro.core.pattern import Pattern
+from repro.core.tokenizer import TokenizedColumn, token_count
 from repro.validate.fmdv import FMDV, Candidate, InferenceResult
 from repro.validate.rule import ValidationRule
 
@@ -58,6 +67,16 @@ class FMDVVertical(FMDV):
     def infer(self, values: Sequence[str]) -> InferenceResult:
         if not values:
             return InferenceResult(None, self.variant, 0, "empty training column")
+        # The aligned width is never below the longest value's token count,
+        # so an over-wide column is refused without paying for alignment.
+        longest = max(map(token_count, set(values)))
+        if longest > MAX_ALIGNED_WIDTH:
+            return InferenceResult(
+                None,
+                self.variant,
+                0,
+                f"aligned width at least {longest} exceeds {MAX_ALIGNED_WIDTH}",
+            )
         aligned = align_column(values)
         if aligned.width == 0:
             return InferenceResult(None, self.variant, 0, "no tokens in column")
@@ -172,21 +191,21 @@ class FMDVVertical(FMDV):
         self, aligned: AlignedColumn, start: int, end: int
     ) -> tuple[Candidate | None, int]:
         """Basic FMDV on the sub-column C[start, end] (no further splits)."""
-        seg_values = aligned.segment_values(start, end)
-        non_empty = sum(1 for v in seg_values if v)
-        if non_empty < self.segment_min_coverage * len(seg_values):
+        sub = aligned.sub_column(start, end)
+        non_empty = len(sub) - sub.counts.get("", 0)
+        if non_empty < self.segment_min_coverage * len(sub):
             return (None, 0)  # too many rows have no tokens in this span
-        separator = self._separator_candidate(seg_values)
+        separator = self._separator_candidate(sub)
         if separator is not None:
             return (separator, 1)
         candidates = self.feasible_candidates(
-            seg_values, min_coverage=self.segment_min_coverage
+            sub, min_coverage=self.segment_min_coverage
         )
         if not candidates:
             return (None, 0)
         return (min(candidates, key=self._objective), len(candidates))
 
-    def _separator_candidate(self, seg_values: list[str]) -> Candidate | None:
+    def _separator_candidate(self, sub: TokenizedColumn) -> Candidate | None:
         """Free constant for segments that are a uniform symbol run.
 
         Composite columns interleave atomic domains with ad-hoc separators
@@ -196,15 +215,14 @@ class FMDVVertical(FMDV):
         hierarchy leaves), so a uniform symbol segment is validated as the
         constant itself with zero FPR — there is nothing to over-fit.
         """
-        counts = Counter(seg_values)
-        text, count = counts.most_common(1)[0]
+        text, count = Counter(sub.counts).most_common(1)[0]
         if not text or any(ch.isalnum() for ch in text):
             return None
-        if count < self.segment_min_coverage * len(seg_values):
+        if count < self.segment_min_coverage * len(sub):
             return None
         return Candidate(
             pattern=Pattern([Atom.const(text)]),
             fpr=0.0,
             coverage=_SEPARATOR_COVERAGE,
-            train_match_fraction=count / len(seg_values),
+            train_match_fraction=count / len(sub),
         )
