@@ -109,7 +109,7 @@ class AlignedColumn:
         return out
 
     def sub_column(self, start: int, end: int) -> TokenizedColumn:
-        """The sub-column ``C[start, end]`` with its values' lexer facts.
+        """The sub-column ``C[start, end]`` with its values' signatures.
 
         The same multiset as :meth:`segment_values`, without re-lexing: a
         segment's tokens are the non-gap tokens of ``row[start..end]``.
@@ -121,7 +121,6 @@ class AlignedColumn:
         if not 0 <= start <= end < self.width:
             raise IndexError(f"segment [{start}, {end}] out of range 0..{self.width - 1}")
         counts: dict[str, int] = {}
-        tokens: dict[str, tuple[Token, ...]] = {}
         signatures: dict[str, Signature] = {}
         alnum_signatures: dict[str, Signature] = {}
         collapsed: dict[Signature, Signature] = {}
@@ -132,14 +131,13 @@ class AlignedColumn:
                 counts[text] += weight
                 continue
             counts[text] = weight
-            tokens[text] = lexed.tokens[a:b]
             sig = lexed.signature[a:b]
             signatures[text] = sig
             alnum = collapsed.get(sig)
             if alnum is None:
                 alnum = collapsed[sig] = collapse_alnum(sig)
             alnum_signatures[text] = alnum
-        return TokenizedColumn(counts, tokens, signatures, alnum_signatures)
+        return TokenizedColumn(counts, signatures, alnum_signatures)
 
     def gap_free(self) -> bool:
         """True when no row contains a gap (identical token structure)."""
@@ -150,14 +148,14 @@ class _LexedRow:
     """One aligned row, indexed so any segment's facts are slices.
 
     ``before[j]`` counts the row's tokens at positions ``< j``, so the
-    tokens in positions ``[s, e]`` are ``tokens[before[s]:before[e + 1]]``;
-    ``offsets[k]`` is where token ``k`` starts in ``text``.
+    tokens in positions ``[s, e]`` are the value's tokens
+    ``before[s]:before[e + 1]``; ``offsets[k]`` is where token ``k`` starts
+    in ``text``.
     """
 
-    __slots__ = ("text", "tokens", "signature", "offsets", "before")
+    __slots__ = ("text", "signature", "offsets", "before")
 
     def __init__(self, row: tuple[Token | None, ...], tokens: tuple[Token, ...]) -> None:
-        self.tokens = tokens
         self.text = "".join(t.text for t in tokens)
         self.signature = signature_of(tokens)
         self.offsets = [0]

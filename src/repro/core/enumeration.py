@@ -15,20 +15,15 @@ engineering choices that keep a lake-scale corpus tractable:
   is applied as well: groups wider than ``tau`` tokens are skipped — they are
   recovered at query time by vertical cuts, Section 3).
 
-Two interchangeable kernels implement the per-group enumeration:
-
-* ``vector`` (the default) — the whole group is tokenized once into packed
-  numpy arrays (:func:`repro.core.tokenizer.group_token_arrays`), option
-  supports come from ``np.bincount`` over lengths/pooled text codes, and the
-  DFS intersects *packed uint64/byte bitsets* whose weighted popcounts are
-  answered from a precomputed 256-entry-per-byte partial-sum table — every
-  DFS node costs O(group_bytes), with no per-distinct-value Python loop;
-* ``pure`` — the reference per-value implementation, kept bit-for-bit
-  equivalent (the kernel-identity test sweep and the index-build bench both
-  assert byte identity through ``build_index_streaming``).
-
-Select with the ``REPRO_ENUM_KERNEL`` environment variable (``vector``/
-``pure``); see :func:`active_kernel`.
+One packed-bitset kernel implements the per-group enumeration: the whole
+group is tokenized once into packed numpy arrays
+(:func:`repro.core.tokenizer.group_token_arrays`), option supports come
+from ``np.bincount`` over lengths/pooled text codes, and the DFS
+intersects *packed bitsets* whose weighted popcounts are answered from a
+precomputed 256-entry-per-byte partial-sum table — every DFS node costs
+O(group_bytes), with no per-distinct-value Python loop.  The per-value
+reference implementation it must reproduce bit for bit (order and counts,
+under budget truncation too) lives in ``tests/enum_oracle.py``.
 
 Determinism contract
 --------------------
@@ -70,7 +65,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
@@ -84,29 +78,13 @@ from repro.core.tokenizer import (
     CLS_ALNUM,
     CLS_DIGIT,
     CLS_SYMBOL,
-    CharClass,
     GroupTokenArrays,
-    Token,
     TokenizedColumn,
-    alnum_runs,
-    alnum_runs_of,
     alnum_signature,
     group_token_arrays,
     signature,
     tokenize,
 )
-from repro.util import most_common_stable
-
-#: Environment variable selecting the per-group enumeration kernel.
-ENUM_KERNEL_ENV = "REPRO_ENUM_KERNEL"
-
-#: Registered kernels, default first.
-ENUM_KERNELS = ("vector", "pure")
-
-#: Groups with fewer distinct values than this run the pure kernel even in
-#: vector mode: below it, numpy call overhead exceeds the loop it replaces.
-#: Identity between kernels makes the switch invisible in the output.
-_VECTOR_MIN_DISTINCT = 8
 
 #: Groups whose packed masks fit in this many bytes run the DFS on Python
 #: ints (single ``&`` + table loop per node) instead of numpy arrays: for
@@ -133,21 +111,8 @@ _PATTERN_POOL_MAX = 1 << 18
 
 
 def active_kernel() -> str:
-    """The enumeration kernel selected by ``REPRO_ENUM_KERNEL``.
-
-    ``vector`` (default) runs the packed-bitset kernel; ``pure`` runs the
-    reference per-value implementation.  Both produce identical output for
-    every column (asserted by the kernel-identity test sweep); the knob
-    therefore deliberately does **not** participate in cache keys or index
-    fingerprints.
-    """
-    name = os.environ.get(ENUM_KERNEL_ENV, "").strip().lower() or ENUM_KERNELS[0]
-    if name not in ENUM_KERNELS:
-        raise ValueError(
-            f"unknown enumeration kernel {name!r}: set {ENUM_KERNEL_ENV} to "
-            f"one of {', '.join(ENUM_KERNELS)}"
-        )
-    return name
+    """Name of the per-group enumeration kernel, for run provenance records."""
+    return "vector"
 
 
 @dataclass(frozen=True)
@@ -235,8 +200,6 @@ class EnumerationConfig:
         Two configs with equal fingerprints produce identical pattern
         spaces for any column.  Used as the compatibility stamp of index
         manifests (format v2) and as part of hypothesis-space cache keys.
-        The kernel (``REPRO_ENUM_KERNEL``) is deliberately absent: both
-        kernels produce identical output.
         """
         h = self.hierarchy
         return ";".join(
@@ -261,9 +224,9 @@ class EnumerationConfig:
 class _Option:
     """One candidate atom at one aligned position, with its match mask.
 
-    ``mask`` is a boolean array over the group's distinct values in the
-    pure kernel and a packed-bit ``uint8`` array in the vector kernel; the
-    shared budget-reduction logic never looks inside it.
+    ``mask`` is a packed-bit ``uint8`` array over the group's distinct
+    values (:class:`_PackedWeights`); the budget reduction never looks
+    inside it.
     """
 
     atom: Atom
@@ -404,11 +367,10 @@ def enumerate_column_patterns(
         return []
     min_count = max(1, math.ceil(config.min_coverage * n))
 
-    kernel = active_kernel()
     aggregated: dict[Pattern, int] = {}
     budget = config.max_patterns
 
-    for pass_tag, signature_fn, tokens_fn, merge_alnum in _granularities(values, config):
+    for pass_tag, signature_fn, merge_alnum in _granularities(values, config):
         if budget <= 0:
             break
         by_signature: dict[tuple[str, ...], dict[str, int]] = defaultdict(dict)
@@ -430,8 +392,6 @@ def enumerate_column_patterns(
                 min_count,
                 budget,
                 config,
-                tokens_fn,
-                kernel=kernel,
                 merge_alnum=merge_alnum,
                 group_cache=group_cache,
                 cache_tag=(pass_tag, sig),
@@ -453,28 +413,22 @@ def enumerate_column_patterns(
 
 def _granularities(
     values: Sequence[str], config: EnumerationConfig
-) -> Iterator[tuple[str, Callable, Callable, bool]]:
-    """``(tag, signature_fn, tokens_fn, merge_alnum)`` per enumeration pass.
+) -> Iterator[tuple[str, Callable, bool]]:
+    """``(tag, signature_fn, merge_alnum)`` per enumeration pass.
 
-    The per-value facts come from the memoized lexer for plain strings,
-    and from the facts a :class:`TokenizedColumn` carries (whose
-    sub-values are seen once and would only churn the memo tables).
-    Either way the passes see the same signatures and runs.
+    Signatures come from the memoized lexer for plain strings, and from
+    the ones a :class:`TokenizedColumn` carries (whose sub-values are seen
+    once and would only churn the memo tables).  Either way the passes
+    see the same signatures.
     """
     if not isinstance(values, TokenizedColumn):
         if config.enumerate_alnum_runs:
-            yield ("alnum", alnum_signature, alnum_runs, True)
-        yield ("fine", signature, tokenize, False)
+            yield ("alnum", alnum_signature, True)
+        yield ("fine", signature, False)
         return
-    fine = values.tokens
     if config.enumerate_alnum_runs:
-        yield (
-            "alnum",
-            values.alnum_signatures.__getitem__,
-            lambda v: alnum_runs_of(fine[v]),  # only the pure kernel asks
-            True,
-        )
-    yield ("fine", values.signatures.__getitem__, fine.__getitem__, False)
+        yield ("alnum", values.alnum_signatures.__getitem__, True)
+    yield ("fine", values.signatures.__getitem__, False)
 
 
 def hypothesis_space(
@@ -505,100 +459,21 @@ def _enumerate_group(
     min_count: int,
     budget: int,
     config: EnumerationConfig,
-    tokens_fn=tokenize,
     *,
-    kernel: str = "pure",
     merge_alnum: bool = False,
     group_cache: GroupResultCache | None = None,
     cache_tag: tuple | None = None,
 ) -> dict[Pattern, int]:
     """Drill-down enumeration for one signature group (same token shape)."""
-    if group_cache is not None and cache_tag is not None:
-        key = (*cache_tag, GroupResultCache.group_digest(counter), min_count, budget)
-        cached = group_cache.lookup(key)
-        if cached is not None:
-            return cached
-        produced = _run_group_kernel(
-            counter, min_count, budget, config, tokens_fn, kernel, merge_alnum
-        )
-        group_cache.store(key, produced)
-        return produced
-    return _run_group_kernel(
-        counter, min_count, budget, config, tokens_fn, kernel, merge_alnum
-    )
-
-
-def _run_group_kernel(
-    counter: dict[str, int],
-    min_count: int,
-    budget: int,
-    config: EnumerationConfig,
-    tokens_fn,
-    kernel: str,
-    merge_alnum: bool,
-) -> dict[Pattern, int]:
-    if kernel == "vector" and len(counter) >= _VECTOR_MIN_DISTINCT:
-        produced = _enumerate_group_vector(
-            counter, min_count, budget, config, merge_alnum
-        )
-        if produced is not None:
-            return produced
-        # Fall through: the group did not pack (defensive; signature
-        # homogeneity should make this unreachable).
-    return _enumerate_group_pure(counter, min_count, budget, config, tokens_fn)
-
-
-# -- the pure (reference) kernel ------------------------------------------------
-
-
-def _enumerate_group_pure(
-    counter: dict[str, int],
-    min_count: int,
-    budget: int,
-    config: EnumerationConfig,
-    tokens_fn=tokenize,
-) -> dict[Pattern, int]:
-    """The reference per-value kernel; the vector kernel must match it."""
-    distinct = list(counter.keys())
-    weights = np.fromiter(counter.values(), dtype=np.int64, count=len(distinct))
-    token_rows = [tokens_fn(v) for v in distinct]
-    width = len(token_rows[0])
-    group_total = int(weights.sum())
-    option_floor = max(
-        min_count, math.ceil(config.min_option_coverage * group_total)
-    )
-
-    options_per_position: list[list[_Option]] = []
-    for j in range(width):
-        column_tokens = [row[j] for row in token_rows]
-        options = _position_options(column_tokens, weights, option_floor, config)
-        if not options:
-            return {}  # some position admits no atom meeting the threshold
-        options_per_position.append(options)
-
-    _reduce_to_budget(options_per_position, budget)
-
-    results: dict[Pattern, int] = {}
-    full_mask = np.ones(len(distinct), dtype=bool)
-
-    def dfs(position: int, mask: np.ndarray, prefix: list[Atom]) -> None:
-        if len(results) >= budget:
-            return
-        if position == width:
-            results[Pattern(prefix)] = int(weights[mask].sum())
-            return
-        for option in options_per_position[position]:
-            new_mask = mask & option.mask
-            if int(weights[new_mask].sum()) < min_count:
-                continue
-            prefix.append(option.atom)
-            dfs(position + 1, new_mask, prefix)
-            prefix.pop()
-            if len(results) >= budget:
-                return
-
-    dfs(0, full_mask, [])
-    return results
+    if group_cache is None or cache_tag is None:
+        return _enumerate_group_vector(counter, min_count, budget, config, merge_alnum)
+    key = (*cache_tag, GroupResultCache.group_digest(counter), min_count, budget)
+    cached = group_cache.lookup(key)
+    if cached is not None:
+        return cached
+    produced = _enumerate_group_vector(counter, min_count, budget, config, merge_alnum)
+    group_cache.store(key, produced)
+    return produced
 
 
 def _reduce_to_budget(options_per_position: list[list[_Option]], budget: int) -> None:
@@ -628,156 +503,7 @@ def _reduce_to_budget(options_per_position: list[list[_Option]], budget: int) ->
             product *= len(options)
 
 
-def _position_options(
-    tokens: list[Token],
-    weights: np.ndarray,
-    option_floor: int,
-    config: EnumerationConfig,
-) -> list[_Option]:
-    """Generalization options at one aligned position, most general first.
-
-    Constant and fixed-length options whose match weight cannot reach
-    ``option_floor`` values are dropped immediately (the coverage retention
-    step of Algorithm 1, tightened per ``min_option_coverage``).  Frequency
-    rankings use :func:`repro.util.most_common_stable` — weight desc, then
-    length/text asc — so the retained options are permutation-invariant
-    (the determinism contract).
-    """
-    cls = tokens[0].cls
-    n = len(tokens)
-    hierarchy = config.hierarchy
-
-    if cls is CharClass.SYMBOL:
-        # Within a signature group, symbol runs are identical by definition.
-        return [_Option(Atom.const(tokens[0].text), np.ones(n, dtype=bool))]
-
-    if cls is CharClass.ALNUM:
-        return _alnum_position_options(tokens, weights, option_floor, config)
-
-    options: list[_Option] = []
-    full = np.ones(n, dtype=bool)
-    texts = [t.text for t in tokens]
-    weight_list = weights.tolist()
-    # One vectorized pass per aligned position: lengths as an int array and
-    # texts as small-int codes.  Every option mask below is a single numpy
-    # comparison against these, instead of a per-option list comprehension
-    # over the group's tokens (the old hot loop rebuilt python-level masks
-    # for every candidate atom of every position of every column).
-    lengths = np.fromiter((len(t) for t in tokens), dtype=np.int64, count=n)
-    text_ids: dict[str, int] = {}
-    text_codes = np.fromiter(
-        (text_ids.setdefault(t, len(text_ids)) for t in texts),
-        dtype=np.int64,
-        count=n,
-    )
-
-    # Most general first: the cross-class and unbounded atoms.
-    if hierarchy.use_alnum_plus:
-        options.append(_Option(Atom.alnum_plus(), full))
-    if cls is CharClass.DIGIT:
-        if hierarchy.use_num:
-            options.append(_Option(Atom.num(), full))
-        options.append(_Option(Atom.digit_plus(), full))
-    else:
-        options.append(_Option(Atom.letter_plus(), full))
-
-    # Fixed-length options, most frequent lengths first (ties: shorter).
-    length_weights: Counter[int] = Counter()
-    for length, w in zip(lengths.tolist(), weight_list):
-        length_weights[length] += w
-    frequent_lengths = [
-        length
-        for length, w in most_common_stable(length_weights, config.max_length_options)
-        if w >= option_floor
-    ]
-    case_masks = None
-    if cls is not CharClass.DIGIT and hierarchy.use_case_classes and frequent_lengths:
-        # Case classes are length-independent: build them once per position
-        # and intersect per length, instead of re-scanning the texts for
-        # every frequent length.
-        case_masks = (
-            np.fromiter((t.isupper() for t in texts), dtype=bool, count=n),
-            np.fromiter((t.islower() for t in texts), dtype=bool, count=n),
-        )
-    for length in frequent_lengths:
-        mask = lengths == length
-        if hierarchy.use_alnum_fixed:
-            options.append(_Option(Atom.alnum(length), mask))
-        if cls is CharClass.DIGIT:
-            options.append(_Option(Atom.digit(length), mask))
-        else:
-            options.append(_Option(Atom.letter(length), mask))
-            if case_masks is not None:
-                upper_mask = mask & case_masks[0]
-                if int(weights[upper_mask].sum()) >= option_floor:
-                    options.append(_Option(Atom.upper(length), upper_mask))
-                lower_mask = mask & case_masks[1]
-                if int(weights[lower_mask].sum()) >= option_floor:
-                    options.append(_Option(Atom.lower(length), lower_mask))
-
-    # Constant options, most frequent texts first (ties: lexicographic).
-    text_weights: Counter[str] = Counter()
-    for text, w in zip(texts, weight_list):
-        text_weights[text] += w
-    frequent_texts = [
-        text
-        for text, w in most_common_stable(text_weights, config.max_const_options)
-        if w >= option_floor and len(text) <= hierarchy.max_const_length
-    ]
-    for text in frequent_texts:
-        options.append(_Option(Atom.const(text), text_codes == text_ids[text]))
-
-    return options
-
-
-def _alnum_position_options(
-    tokens: list[Token],
-    weights: np.ndarray,
-    option_floor: int,
-    config: EnumerationConfig,
-) -> list[_Option]:
-    """Options at one merged alphanumeric-run position.
-
-    Fixed-length ``<alphanum>{k}`` options are always considered here
-    (independent of ``hierarchy.use_alnum_fixed``, which governs the fine
-    level): fixed-width segments are the defining structure of hex
-    identifiers, which is the whole point of this granularity.  Frequency
-    ties break deterministically, as at the fine level.
-    """
-    n = len(tokens)
-    options: list[_Option] = [_Option(Atom.alnum_plus(), np.ones(n, dtype=bool))]
-    weight_list = weights.tolist()
-
-    lengths = np.fromiter((len(t) for t in tokens), dtype=np.int64, count=n)
-    length_weights: Counter[int] = Counter()
-    for length, w in zip(lengths.tolist(), weight_list):
-        length_weights[length] += w
-    for length, w in most_common_stable(length_weights, config.max_length_options):
-        if w >= option_floor:
-            options.append(_Option(Atom.alnum(length), lengths == length))
-
-    texts = [t.text for t in tokens]
-    text_ids: dict[str, int] = {}
-    text_codes = np.fromiter(
-        (text_ids.setdefault(t, len(text_ids)) for t in texts),
-        dtype=np.int64,
-        count=n,
-    )
-    text_weights: Counter[str] = Counter()
-    for text, w in zip(texts, weight_list):
-        text_weights[text] += w
-    frequent_texts = [
-        text
-        for text, w in most_common_stable(text_weights, config.max_const_options)
-        if w >= option_floor and len(text) <= config.hierarchy.max_const_length
-    ]
-    for text in frequent_texts:
-        options.append(_Option(Atom.const(text), text_codes == text_ids[text]))
-
-    return options
-
-
-# -- the vectorized (packed-bitset) kernel --------------------------------------
+# -- the packed-bitset kernel ---------------------------------------------------
 
 
 class _PackedWeights:
@@ -827,19 +553,16 @@ def _enumerate_group_vector(
     budget: int,
     config: EnumerationConfig,
     merge_alnum: bool,
-) -> dict[Pattern, int] | None:
+) -> dict[Pattern, int]:
     """The packed-bitset kernel: whole-group arrays, no per-value loops.
 
-    Bit-for-bit equivalent to :func:`_enumerate_group_pure`: options are
-    materialized in the same order with the same deterministic tie-breaks,
-    so the DFS emits the same patterns with the same counts even under
-    budget truncation.  Returns ``None`` when the group fails to pack
-    (caller falls back to the pure kernel).
+    Bit-for-bit equivalent to the per-value reference kernel in
+    ``tests/enum_oracle.py``: options are materialized in the same order
+    with the same deterministic tie-breaks, so the DFS emits the same
+    patterns with the same counts even under budget truncation.
     """
     distinct = list(counter.keys())
     group = group_token_arrays(distinct, merge_alnum=merge_alnum)
-    if group is None:
-        return None
     weights = np.fromiter(counter.values(), dtype=np.int64, count=len(distinct))
     packed = _PackedWeights(weights)
     group_total = int(weights.sum())
@@ -960,7 +683,7 @@ def _position_options_vector(
     option_floor: int,
     config: EnumerationConfig,
 ) -> list[_Option]:
-    """Vectorized options at one aligned position, in pure-kernel order."""
+    """Vectorized options at one aligned position, in reference-kernel order."""
     cls_code = int(group.classes[j])
     hierarchy = config.hierarchy
 
@@ -1002,8 +725,8 @@ def _position_options_vector(
         starts_j = group.starts[:, j]
         ends_j = starts_j + lengths_j
         # A letter run is isupper() iff it contains no lowercase character
-        # (and vice versa): two prefix-sum gathers replace the per-token
-        # str.isupper()/str.islower() scans of the pure kernel.
+        # (and vice versa): two prefix-sum gathers replace per-token
+        # str.isupper()/str.islower() scans.
         case_flags = (
             (group.lower_cum[ends_j] - group.lower_cum[starts_j]) == 0,
             (group.upper_cum[ends_j] - group.upper_cum[starts_j]) == 0,
@@ -1033,8 +756,8 @@ def _frequent_lengths(
 ) -> list[tuple[int, int]]:
     """Top-``k`` token lengths by weight, ties toward the shorter length.
 
-    Equivalent to ``most_common_stable(length_weights, k)`` of the pure
-    kernel, computed as one ``np.bincount`` over the position's lengths.
+    Equivalent to ``most_common_stable(length_weights, k)`` over the
+    per-value lengths, computed as one ``np.bincount`` over the position's lengths.
     """
     if k <= 0:
         return []
@@ -1055,7 +778,7 @@ def _append_const_options(
     config: EnumerationConfig,
     options: list[_Option],
 ) -> None:
-    """Append the position's constant options (pure-kernel order).
+    """Append the position's constant options (reference-kernel order).
 
     Texts are pooled without a Python dict: the position's tokens land in a
     zero-padded ``(n, words*8)`` byte matrix (tokens here are ASCII

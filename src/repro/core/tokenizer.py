@@ -168,13 +168,8 @@ def alnum_runs(value: str) -> tuple[Token, ...]:
     >>> [t.text for t in alnum_runs("b216-57a0")]
     ['b216', '-', '57a0']
     """
-    return alnum_runs_of(tokenize(value))
-
-
-def alnum_runs_of(tokens: Sequence[Token]) -> tuple[Token, ...]:
-    """:func:`alnum_runs` of an already tokenized value (not memoized)."""
     merged: list[Token] = []
-    for token in tokens:
+    for token in tokenize(value):
         if token.cls is CharClass.SYMBOL:
             merged.append(token)
         elif merged and merged[-1].cls is CharClass.ALNUM:
@@ -217,7 +212,6 @@ class GroupTokenArrays:
     never per value.
     """
 
-    values: tuple[str, ...]
     joined: str
     width: int
     starts: np.ndarray
@@ -234,21 +228,21 @@ class GroupTokenArrays:
 
 def group_token_arrays(
     values: Sequence[str], *, merge_alnum: bool
-) -> GroupTokenArrays | None:
+) -> GroupTokenArrays:
     """Tokenize a whole signature group into :class:`GroupTokenArrays`.
 
     ``merge_alnum`` selects the granularity: ``True`` merges adjacent
     digit/letter runs into single ``CLS_ALNUM`` runs (:func:`alnum_runs`),
     ``False`` keeps the fine digit/letter runs (:func:`tokenize`).
 
-    Returns ``None`` when the group does not actually share one token
-    shape (callers fall back to the per-value path); the enumeration
-    kernel only passes signature-homogeneous groups, for which this never
-    triggers.
+    The group must be a signature group: non-empty, every value non-empty
+    and every value carrying one token-class sequence.  Enumeration groups
+    values by signature, so it always passes one; anything else raises
+    :class:`ValueError`.
     """
     joined = "".join(values)
     if not joined:
-        return None
+        raise _not_a_signature_group("it has no characters")
     codes = np.frombuffer(
         joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32
     )
@@ -265,7 +259,7 @@ def group_token_arrays(
 
     value_lens = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
     if (value_lens == 0).any():
-        return None  # empty values have no tokens; groups never contain them
+        raise _not_a_signature_group("it contains an empty value")
     value_starts = np.cumsum(value_lens) - value_lens
 
     boundary = np.empty(codes.shape, dtype=bool)
@@ -275,20 +269,19 @@ def group_token_arrays(
     tok_starts = np.flatnonzero(boundary)
     n = len(values)
     if tok_starts.size % n != 0:
-        return None
+        raise _not_a_signature_group("its values differ in token count")
     width = tok_starts.size // n
     starts = tok_starts.reshape(n, width)
     lengths = np.diff(tok_starts, append=codes.size).reshape(n, width)
     # Every row must carry the same class sequence (signature homogeneity).
     classes = cls[starts]
     if not (classes == classes[0]).all():
-        return None
+        raise _not_a_signature_group("its values differ in token classes")
 
     zero = np.zeros(1, dtype=np.int64)
     lower_cum = np.concatenate([zero, np.cumsum(is_lower, dtype=np.int64)])
     upper_cum = np.concatenate([zero, np.cumsum(is_upper, dtype=np.int64)])
     return GroupTokenArrays(
-        values=tuple(values),
         joined=joined,
         width=width,
         starts=starts,
@@ -297,6 +290,13 @@ def group_token_arrays(
         lower_cum=lower_cum,
         upper_cum=upper_cum,
         codes=codes,
+    )
+
+
+def _not_a_signature_group(why: str) -> ValueError:
+    return ValueError(
+        "group_token_arrays needs a signature group (non-empty values sharing "
+        f"one token-class sequence), but {why}"
     )
 
 
@@ -331,32 +331,30 @@ def collapse_alnum(sig: Signature) -> Signature:
 
 
 class TokenizedColumn(Sequence[str]):
-    """A column given by its distinct values' counts and lexer facts.
+    """A column given by its distinct values' counts and signatures.
 
     It reads as the list of values it stands for (each distinct value
     repeated ``counts[value]`` times, in ``counts`` order), so any
     consumer of a ``Sequence[str]`` accepts it.  Consumers that know the
     type skip the expansion and the re-lexing: enumeration reads
-    ``tokens``, ``signatures`` and ``alnum_signatures`` instead of calling
-    the memoized lexer, and :func:`repro.service.cache.column_digest`
-    hashes ``counts``.
+    ``signatures`` and ``alnum_signatures`` instead of calling the
+    memoized lexer, and :func:`repro.service.cache.column_digest` hashes
+    ``counts``.
 
-    For every key ``v`` of ``counts`` the three maps must hold
-    ``tokenize(v)``, ``signature(v)`` and ``alnum_signature(v)``; that is
-    what makes both paths give the same answers.
+    For every key ``v`` of ``counts`` the two maps must hold
+    ``signature(v)`` and ``alnum_signature(v)``; that is what makes both
+    paths give the same answers.
     """
 
-    __slots__ = ("counts", "tokens", "signatures", "alnum_signatures", "_total", "_expanded")
+    __slots__ = ("counts", "signatures", "alnum_signatures", "_total", "_expanded")
 
     def __init__(
         self,
         counts: dict[str, int],
-        tokens: dict[str, tuple[Token, ...]],
         signatures: dict[str, Signature],
         alnum_signatures: dict[str, Signature],
     ) -> None:
         self.counts = counts
-        self.tokens = tokens
         self.signatures = signatures
         self.alnum_signatures = alnum_signatures
         self._total = sum(counts.values())

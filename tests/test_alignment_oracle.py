@@ -2,23 +2,24 @@
 
 ``align_column`` keeps running per-position counters instead of
 re-profiling every aligned row, and the vertical DP enumerates each
-sub-column from the aligned token rows (``AlignedColumn.sub_column``)
-instead of joining and re-lexing strings.  Both are answer-preserving
+sub-column from the signatures sliced out of the aligned token rows
+(``AlignedColumn.sub_column``) instead of re-lexing joined strings.  Both are answer-preserving
 rewrites, checked here against references:
 
 * the quadratic progressive alignment below (a full ``_profile_of`` after
   every row) must produce the same ``values``, ``rows`` and ``weights``;
 * for every registry domain at 50 and 400 values, every interval of width
   at most τ must give the same hypothesis space (order included) and the
-  same ``column_digest`` whether it is fed tokens or the strings of
-  ``segment_values``;
+  same ``column_digest`` whether it is fed the sliced sub-column or the
+  strings of ``segment_values``;
 * one FMDV-VH inference may add at most one ``tokenize`` memo entry per
   distinct value and none to the signature / run memo tables (the
   sub-values are seen once and would only churn them).
 
-The sweep runs under whichever ``REPRO_ENUM_KERNEL`` is set: the pure
-kernel consumes the supplied tokens, the vector kernel re-lexes the
-joined strings of each group.
+Both paths group values by the same signatures and run the one
+enumeration kernel, which lexes each group's joined strings itself;
+the kernel is checked against its per-value reference in
+``tests/test_enum_kernel.py``.
 """
 
 from __future__ import annotations
@@ -243,7 +244,6 @@ def test_sub_column_carries_the_lexer_facts():
         for end in range(start, aligned.width):
             sub = aligned.sub_column(start, end)
             for text in sub.counts:
-                assert sub.tokens[text] == tokenize(text)
                 assert sub.signatures[text] == signature(text)
                 assert sub.alnum_signatures[text] == alnum_signature(text)
 

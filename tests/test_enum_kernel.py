@@ -1,10 +1,13 @@
-"""The vectorized enumeration kernel and the determinism contract.
+"""The packed-bitset enumeration kernel and the determinism contract.
 
 Three guarantees from the enumeration module doc, each load-bearing:
 
-* **kernel identity** — ``REPRO_ENUM_KERNEL=vector`` (the default) and
-  ``=pure`` produce identical pattern spaces (order included) for every
-  column, and byte-identical indexes through ``build_index_streaming``;
+* **kernel identity** — the production kernel reproduces the per-value
+  reference kernel of ``tests/enum_oracle.py`` (swapped in with
+  ``monkeypatch``) bit for bit: identical pattern spaces, order included,
+  for groups of every size (1–7, 8–512 and over 512 distinct values,
+  where the DFS switches from Python ints to numpy masks), and
+  byte-identical indexes through ``build_index_streaming``;
 * **permutation invariance** — shuffling a column's values (or the corpus's
   columns) changes neither the pattern space nor the built index bytes,
   which is what makes the service's multiset-digest cache sound;
@@ -19,11 +22,12 @@ byte-equivalent results) and the packed-bitset edge cases.
 from __future__ import annotations
 
 import random
+import string
 
 import pytest
 
+from repro.core import enumeration
 from repro.core.enumeration import (
-    ENUM_KERNEL_ENV,
     EnumerationConfig,
     GroupResultCache,
     active_kernel,
@@ -31,12 +35,14 @@ from repro.core.enumeration import (
     enumerate_column_patterns,
     hypothesis_space,
 )
+from repro.core.tokenizer import group_token_arrays
 from repro.index.builder import IndexBuilder, build_index, build_index_streaming
 from repro.index.store import save_index
 from repro.service.service import ValidationService
 from repro.validate.fmdv import FMDV
 from repro.validate.hybrid import HybridValidator
 
+from tests.enum_oracle import enumerate_group_oracle
 from tests.test_streaming_build import (
     FAST,
     _assert_dirs_byte_identical,
@@ -52,37 +58,81 @@ def _space(values, config=None, **kw):
     ]
 
 
+def _oracle_space(values, config=None, **kw):
+    """:func:`_space` with the per-value reference kernel swapped in."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_enumerate_group_vector", enumerate_group_oracle)
+        return _space(values, config, **kw)
+
+
+def _group_sizes(monkeypatch) -> list[int]:
+    """Record the distinct-value count of every group the kernel runs on."""
+    sizes: list[int] = []
+    kernel = enumeration._enumerate_group_vector
+
+    def spy(counter, *args):
+        sizes.append(len(counter))
+        return kernel(counter, *args)
+
+    monkeypatch.setattr(enumeration, "_enumerate_group_vector", spy)
+    return sizes
+
+
 # ---------------------------------------------------------------------------
-# kernel selection
+# one kernel
 # ---------------------------------------------------------------------------
 
 
 class TestKernelSelection:
+    """There is one kernel; the retired ``REPRO_ENUM_KERNEL`` is not read."""
+
     def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv(ENUM_KERNEL_ENV, raising=False)
+        monkeypatch.delenv("REPRO_ENUM_KERNEL", raising=False)
         assert active_kernel() == "vector"
 
     @pytest.mark.parametrize("name", ["pure", "vector", " Vector ", "PURE"])
     def test_known_kernels_accepted(self, monkeypatch, name):
-        monkeypatch.setenv(ENUM_KERNEL_ENV, name)
-        assert active_kernel() == name.strip().lower()
-
-    def test_unknown_kernel_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENUM_KERNEL_ENV, "turbo")
-        with pytest.raises(ValueError, match="unknown enumeration kernel"):
-            active_kernel()
-        with pytest.raises(ValueError, match="turbo"):
-            enumerate_column_patterns(["a1"])
+        """A leftover setting (benchmark harnesses still export one) is
+        accepted and changes nothing."""
+        values = ["ab-1", "cd-22", "EF-3"]
+        monkeypatch.delenv("REPRO_ENUM_KERNEL", raising=False)
+        unset = _space(values)
+        monkeypatch.setenv("REPRO_ENUM_KERNEL", name)
+        assert active_kernel() == "vector"
+        assert _space(values) == unset
 
 
 # ---------------------------------------------------------------------------
-# kernel identity: vector must reproduce pure bit for bit
+# kernel identity: production must reproduce the reference bit for bit
 # ---------------------------------------------------------------------------
+
+
+def _small_group_columns(rng: random.Random, n_distinct: int) -> list[list[str]]:
+    """Columns whose every signature group has exactly ``n_distinct``
+    distinct values, with skewed multiplicities."""
+    letters = string.ascii_letters
+    shapes = [
+        lambda: f"{rng.randint(0, 99):02d}:{rng.randint(0, 999)}",
+        lambda: "".join(rng.choice(letters) for _ in range(rng.randint(1, 4))),
+        lambda: f"{rng.choice(['ID', 'id', 'Id'])}-{rng.randint(1, 10 ** rng.randint(1, 4))}",
+        lambda: f"{rng.randint(1, 9)}{rng.choice('abcdef')}{rng.randint(0, 9)}",
+    ]
+    columns = []
+    for make in shapes:
+        distinct: set[str] = set()
+        while len(distinct) < n_distinct:
+            distinct.add(make())
+        column = []
+        for value in sorted(distinct):
+            column.extend([value] * rng.choice([1, 1, 2, 5]))
+        rng.shuffle(column)
+        columns.append(column)
+    return columns
 
 
 class TestKernelIdentity:
     @pytest.mark.parametrize("seed", range(10))
-    def test_pattern_spaces_identical(self, monkeypatch, seed):
+    def test_pattern_spaces_identical(self, seed):
         """The full streaming-build column matrix (unicode, empties, dups,
         skew), swept at indexing and hypothesis-space coverages."""
         columns = _random_columns(random.Random(seed))
@@ -91,13 +141,9 @@ class TestKernelIdentity:
                 cfg = EnumerationConfig(
                     max_patterns=256, min_coverage=min_coverage
                 )
-                monkeypatch.setenv(ENUM_KERNEL_ENV, "pure")
-                pure = _space(values, cfg)
-                monkeypatch.setenv(ENUM_KERNEL_ENV, "vector")
-                vector = _space(values, cfg)
-                assert vector == pure
+                assert _space(values, cfg) == _oracle_space(values, cfg)
 
-    def test_identical_under_exotic_hierarchies(self, monkeypatch):
+    def test_identical_under_exotic_hierarchies(self):
         """Knob corners: num/alnum-fixed on, case classes off, tiny option
         budgets — the option *order* must match under budget truncation."""
         from repro.core.hierarchy import GeneralizationHierarchy
@@ -124,10 +170,29 @@ class TestKernelIdentity:
         ]
         for values in columns:
             for cfg in configs:
-                monkeypatch.setenv(ENUM_KERNEL_ENV, "pure")
-                pure = _space(values, cfg)
-                monkeypatch.setenv(ENUM_KERNEL_ENV, "vector")
-                assert _space(values, cfg) == pure
+                assert _space(values, cfg) == _oracle_space(values, cfg)
+
+    @pytest.mark.parametrize("n_distinct", range(1, 8))
+    def test_small_groups_identical(self, monkeypatch, n_distinct):
+        """Groups of 1–7 distinct values, at every coverage and budget
+        corner, including the single-value group."""
+        rng = random.Random(n_distinct)
+        columns = _small_group_columns(rng, n_distinct)
+        configs = [
+            EnumerationConfig(min_coverage=0.1, min_option_coverage=0.0),
+            EnumerationConfig(min_coverage=1.0),
+            EnumerationConfig(
+                min_coverage=0.2, max_patterns=8, max_const_options=1,
+                max_length_options=1,
+            ),
+        ]
+        sizes = _group_sizes(monkeypatch)
+        for values in columns:
+            for cfg in configs:
+                production = _space(values, cfg)
+                assert production == _oracle_space(values, cfg)
+                assert production
+        assert n_distinct in sizes and max(sizes) <= n_distinct
 
     @pytest.mark.parametrize("n_shards", [1, 4])
     @pytest.mark.parametrize("format", ["v2", "v3"])
@@ -135,16 +200,19 @@ class TestKernelIdentity:
         self, tmp_path, monkeypatch, n_shards, format
     ):
         columns = _random_columns(random.Random(42))
-        out = {}
-        for kernel in ("pure", "vector"):
-            monkeypatch.setenv(ENUM_KERNEL_ENV, kernel)
-            path = tmp_path / kernel
+
+        def build(path):
             build_index_streaming(
                 columns, path, FAST, corpus_name="kernel-id",
                 workers=1, spill_mb=0.005, format=format, n_shards=n_shards,
             )
-            out[kernel] = path
-        _assert_dirs_byte_identical(out["pure"], out["vector"])
+
+        build(tmp_path / "vector")
+        monkeypatch.setattr(
+            enumeration, "_enumerate_group_vector", enumerate_group_oracle
+        )
+        build(tmp_path / "oracle")
+        _assert_dirs_byte_identical(tmp_path / "oracle", tmp_path / "vector")
 
 
 # ---------------------------------------------------------------------------
@@ -164,26 +232,25 @@ class TestPermutationInvariance:
 
     @pytest.mark.parametrize("kernel", ["pure", "vector"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_shuffled_values_same_space(self, monkeypatch, kernel, seed):
+    def test_shuffled_values_same_space(self, kernel, seed):
         """Property: for random columns, any permutation yields the same
-        pattern list — same patterns, same counts, same order."""
-        monkeypatch.setenv(ENUM_KERNEL_ENV, kernel)
+        pattern list — same patterns, same counts, same order — as the
+        reference kernel (``pure``) or the production kernel (``vector``)
+        computes for the unshuffled column."""
+        reference_space = _oracle_space if kernel == "pure" else _space
         rng = random.Random(seed)
         for values in _random_columns(rng):
-            reference = _space(values)
+            reference = reference_space(values)
             for _ in range(3):
                 shuffled = list(values)
                 rng.shuffle(shuffled)
                 assert _space(shuffled) == reference
 
     @pytest.mark.parametrize("format", ["v2", "v3"])
-    def test_shuffled_corpus_identical_index_bytes(
-        self, tmp_path, monkeypatch, format
-    ):
+    def test_shuffled_corpus_identical_index_bytes(self, tmp_path, format):
         """Shuffle rows within every column: serial save and streamed build
         must emit byte-identical directories either way.  (Column *order*
         already cannot matter: fixed-point aggregation is commutative.)"""
-        monkeypatch.delenv(ENUM_KERNEL_ENV, raising=False)
         rng = random.Random(7)
         columns = _random_columns(rng)
         shuffled = []
@@ -319,26 +386,43 @@ class TestEmptyValueSemantics:
 
 
 class TestBitsetEdges:
-    @pytest.mark.parametrize("n_distinct", [63, 64, 65, 200])
+    @pytest.mark.parametrize("n_distinct", [63, 64, 65, 200, 513, 600, 2000])
     def test_groups_wider_than_a_word(self, monkeypatch, n_distinct):
         """Distinct counts straddling the 64-bit word / 8-bit byte packing
-        boundaries; weights exercise the partial-sum table."""
+        boundaries; weights exercise the partial-sum table.  Past 512
+        distinct values (64 mask bytes) the DFS runs on numpy masks, whose
+        every node asks ``_PackedWeights.weight``."""
         rng = random.Random(n_distinct)
         values = []
         for i in range(n_distinct):
             values.extend([f"X{i:03d}"] * rng.randint(1, 4))
         cfg = EnumerationConfig(min_coverage=0.01, max_const_options=8)
-        monkeypatch.setenv(ENUM_KERNEL_ENV, "pure")
-        pure = _space(values, cfg)
-        monkeypatch.setenv(ENUM_KERNEL_ENV, "vector")
-        assert _space(values, cfg) == pure
-        assert pure  # the sweep actually enumerated something
+        weight_calls = []
+        weight = enumeration._PackedWeights.weight
 
-    def test_small_groups_fall_back_to_pure(self, monkeypatch):
-        """Below the distinct-count threshold the vector kernel routes to
-        the pure path — outputs identical, so only identity is observable."""
-        monkeypatch.setenv(ENUM_KERNEL_ENV, "vector")
-        assert _space(["ab", "cd"]) == _space(["cd", "ab"])
+        def counted(packed, mask):
+            weight_calls.append(packed.n_bytes)
+            return weight(packed, mask)
+
+        monkeypatch.setattr(enumeration._PackedWeights, "weight", counted)
+        production = _space(values, cfg)
+        assert production == _oracle_space(values, cfg)
+        assert production  # the sweep actually enumerated something
+        numpy_dfs = n_distinct > 8 * enumeration._INT_DFS_MAX_BYTES
+        assert bool(weight_calls) == numpy_dfs
+
+    @pytest.mark.parametrize(
+        ("values", "why"),
+        [
+            ([], "no characters"),
+            (["ab", ""], "empty value"),
+            (["a1", "b"], "token count"),
+            (["ab", "12"], "token classes"),
+        ],
+    )
+    def test_group_token_arrays_rejects_a_non_signature_group(self, values, why):
+        with pytest.raises(ValueError, match=f"signature group.*{why}"):
+            group_token_arrays(values, merge_alnum=False)
 
 
 # ---------------------------------------------------------------------------
