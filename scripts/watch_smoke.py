@@ -11,7 +11,10 @@ subprocess, and drives the full monitoring loop a deployment depends on:
 4. a corrupted refresh fires a `rule_violation` alert (critical),
 5. `/v1/watch/alerts` retains the alert, `/v1/watch/status` shows the
    feed, and the Markdown report renders with the alert in it,
-6. the CLI renders the same report offline from the persisted state
+6. the server is SIGKILL'd after the last acknowledged refresh, and the
+   CLI renders the report offline from what the kill left on disk: the
+   feed's final refresh id and the fired alert must be in it, so a fresh
+   process replays the time-series WAL over the registry checkpoint
    (written to `watch-report.md`, uploaded as a CI artifact).
 
 Exit code 0 on success; any failure raises (non-zero exit).
@@ -22,6 +25,7 @@ Usage: python scripts/watch_smoke.py [workdir]
 from __future__ import annotations
 
 import json
+import signal
 import subprocess
 import sys
 import tempfile
@@ -156,22 +160,28 @@ def main(workdir: str | None = None) -> int:
         status, payload = http_json(base_url + "/v1/watch/refresh", body)
         assert status == 404 and payload["code"] == "not_found", (status, payload)
         print("unregistered feed 404 ok")
+
+        # 6. kill -9: no shutdown path runs, so only what each
+        #    acknowledged call made durable survives.
+        process.send_signal(signal.SIGKILL)
+        assert process.wait(timeout=15) == -signal.SIGKILL
+        print("server SIGKILL'd after the last acknowledged refresh")
     finally:
-        process.terminate()
-        try:
-            process.wait(timeout=15)
-        except subprocess.TimeoutExpired:
+        if process.poll() is None:
             process.kill()
             process.wait(timeout=15)
+        process.stdout.close()
+        process.stderr.close()
 
-    # 6. offline report from the persisted state (no server running):
-    #    the CI job uploads this file as the run artifact.
+    # offline report from the state the kill left (no server running):
+    # the CI job uploads this file as the run artifact.
     report_path = root / "watch-report.md"
     assert cli(["watch", "--state-dir", str(state_dir),
                 "--report", "md", "--out", str(report_path)]) == 0
     text = report_path.read_text(encoding="utf-8")
     assert "rule_violation" in text and "acme/orders" in text, text[:200]
-    print(f"offline report ok: {report_path}")
+    assert "refreshes: 2 " in text, text
+    print(f"offline report ok after kill -9: {report_path}")
     return 0
 
 

@@ -271,8 +271,11 @@ def recover_crc_lines(path: Path) -> list[dict[str, Any]]:
     return records
 
 
-def append_crc_lines(path: Path, records: Iterable[dict[str, Any]]) -> None:
+def append_crc_lines(path: Path, records: Iterable[dict[str, Any]]) -> int:
     """Append framed records and fsync; newline is the commit marker.
+
+    Returns the number of bytes appended (0 when ``records`` is empty),
+    so a caller can track the log's length without a ``stat``.
 
     On ENOSPC the partial append is truncated away (the log is restored
     to its pre-append length) and :class:`DurabilityError` is raised,
@@ -281,7 +284,7 @@ def append_crc_lines(path: Path, records: Iterable[dict[str, Any]]) -> None:
     """
     lines = [format_crc_line(record) for record in records]
     if not lines:
-        return
+        return 0
     blob = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "ab") as handle:
         base = handle.tell()
@@ -298,3 +301,4 @@ def append_crc_lines(path: Path, records: Iterable[dict[str, Any]]) -> None:
                     exc.errno, f"out of disk space appending to {path.name}"
                 ) from exc
             raise
+    return len(blob)

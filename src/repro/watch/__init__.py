@@ -5,11 +5,11 @@ learn a data-domain pattern once from the data lake, then check every
 future refresh against it.  This package is that loop as a long-running
 product:
 
-* :mod:`repro.watch.registry` — the persisted registry of watched feeds
-  (learned rules + baseline state, atomic canonical JSON);
+* :mod:`repro.watch.registry` — the checkpointed registry of watched
+  feeds (learned rules + baseline state, atomic canonical JSON);
 * :mod:`repro.watch.timeseries` — the append-only refresh history
   (CRC-framed NDJSON segments + compact binary per-day summaries,
-  crash-safe);
+  crash-safe); its live WAL is each refresh's commit point;
 * :mod:`repro.watch.baseline` — learned per-column pass-rate baselines
   (EWMA level + robust MAD band, hysteresis, re-arm on relearn);
 * :mod:`repro.watch.alerts` — typed alert records and their bounded,

@@ -159,6 +159,17 @@ class ColumnBaseline:
             tripped=self.tripped,
         )
 
+    def copy(self) -> "ColumnBaseline":
+        """An independent copy (a refresh stages its observation on one)."""
+        twin = ColumnBaseline(self.window, self.warmup, self.hysteresis)
+        twin.n = self.n
+        twin.mean = self.mean
+        twin.residuals = list(self.residuals)
+        twin.tripped = self.tripped
+        twin.breach_streak = self.breach_streak
+        twin.recover_streak = self.recover_streak
+        return twin
+
     def reset(self) -> None:
         """Forget everything and re-arm — the post-``relearn`` step."""
         self.n = 0

@@ -6,12 +6,17 @@ production) and persisted as wire rule payloads
 (:func:`repro.validate.result.rule_to_payload`), so later refreshes —
 in another process, on another day — validate without the index or the
 training data.  Each column also carries its learned
-:class:`~repro.watch.baseline.ColumnBaseline` state, so baselines
-survive restarts.
+:class:`~repro.watch.baseline.ColumnBaseline` state.
 
 Persistence is one canonical-JSON file, ``<state_dir>/registry.json``,
-published atomically (temp + ``os.replace``) after every mutation —
-a crash mid-save leaves the previous registry intact, never a torn one.
+published atomically (temp + ``os.replace``) — a crash mid-save leaves
+the previous registry intact, never a torn one.  The file is a
+**checkpoint**: :class:`~repro.watch.service.WatchService` publishes it
+on register / relearn / an overdue tick and just before the time-series
+WAL seals, not per refresh.  Refreshes commit through the WAL, and the
+service replays the live WAL over this checkpoint at open, so reading
+the file alone gives the rules and registration fields but may lag the
+refresh ids and baselines.
 """
 
 from __future__ import annotations
@@ -150,7 +155,7 @@ class WatchRegistry:
             self.feeds[state.key] = state
 
     def save(self) -> None:
-        """Durable atomic publish: temp + fsync + ``os.replace`` + dir fsync.
+        """Publish the checkpoint: temp + fsync + ``os.replace`` + dir fsync.
 
         ENOSPC surfaces as :class:`repro.durability.DurabilityError` with
         the partial temp file removed.

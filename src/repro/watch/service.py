@@ -2,9 +2,9 @@
 
 One service instance owns a state directory::
 
-    <state_dir>/registry.json    # watched feeds: rules + baselines (atomic)
+    <state_dir>/registry.json    # checkpoint: rules + baselines (atomic)
     <state_dir>/alerts.ndjson    # CRC-framed alert audit trail
-    <state_dir>/ts/              # time-series segments + day summaries
+    <state_dir>/ts/              # time-series WAL, segments, day summaries
 
 and closes the paper's production loop (§1): **register** a feed once
 (rules are learned from a training snapshot and persisted), **refresh**
@@ -22,7 +22,12 @@ The service is **single-threaded by design**: the HTTP edge
 (:mod:`repro.watch.server`) calls it from one asyncio event loop, and
 the CLI from one process at a time.  State mutations persist before the
 call returns, so a crash between calls never loses an acknowledged
-refresh.
+refresh.  A refresh persists as one WAL append (one ``write`` + one
+``fsync`` of its observations) and touches memory only after that append
+returns; ``registry.json`` is a checkpoint, published on register /
+relearn / an overdue tick and just before the WAL seals.  Opening the
+service replays the live WAL over the checkpoint, so the refresh ids and
+baselines it rebuilds are bit-identical to the ones the last process held.
 """
 
 from __future__ import annotations
@@ -54,6 +59,13 @@ def _severity(flagged: bool, bad_fraction: float) -> str:
     return "critical" if bad_fraction >= CRITICAL_BAD_FRACTION else "warning"
 
 
+def _advance(state: FeedState, refresh_id: int, ts: float) -> None:
+    """The feed-level effect of one refresh (live and replayed alike)."""
+    state.refresh_id = refresh_id
+    state.last_refresh_ts = ts
+    state.overdue_alerted = False  # the feed is talking again
+
+
 class WatchService:
     """Continuous data-quality monitoring over a state directory."""
 
@@ -79,8 +91,28 @@ class WatchService:
         if max_segment_bytes is not None:
             ts_kwargs["max_segment_bytes"] = max_segment_bytes
         self.timeseries = TimeSeriesStore(self.state_dir / "ts", **ts_kwargs)
+        self._replay_wal()
         self.refreshes_total = 0
         self.ticks_total = 0
+
+    def _replay_wal(self) -> None:
+        """Fold the live WAL's refreshes into the registry checkpoint.
+
+        Each feed's checkpointed ``refresh_id`` is its watermark: only
+        observations above it are replayed, in WAL order, so a refresh
+        the checkpoint already holds is never observed twice.  Sealed
+        segments are never read — the registry is published before every
+        seal.
+        """
+        watermarks = {key: state.refresh_id for key, state in self.registry.feeds.items()}
+        for observation in self.timeseries.wal_records():
+            state = self.registry.get(observation.tenant, observation.feed)
+            if state is None or observation.refresh_id <= watermarks[state.key]:
+                continue
+            # Columns change only through a publish, so every observation
+            # above the watermark names a column the checkpoint monitors.
+            state.columns[observation.column].baseline.observe(observation.pass_rate)
+            _advance(state, observation.refresh_id, observation.ts)
 
     # -- registration --------------------------------------------------------
 
@@ -151,17 +183,24 @@ class WatchService:
     ) -> dict[str, Any]:
         """Validate one refresh; append time-series; update baselines; alert.
 
+        The WAL append is the commit point: baselines are observed on
+        staged copies, which replace the live ones only once the append
+        has returned, so a failed append leaves memory where disk is.
+
         Returns the refresh outcome payload (what ``/v1/watch/refresh``
         answers): per-column results, severity counts, and the alerts this
         refresh emitted.
         """
         state = self.registry.require(tenant, feed)
         now = self.clock()
-        state.refresh_id += 1
-        state.last_refresh_ts = now
-        state.overdue_alerted = False  # the feed is talking again
-        refresh_id = state.refresh_id
+        if self.timeseries.seal_due(now):
+            # Replay reads only the live WAL, so the checkpoint must hold
+            # every refresh the seal is about to move out of it.
+            self.registry.save()
+            self.timeseries.seal()
+        refresh_id = state.refresh_id + 1
 
+        staged: dict[str, ColumnBaseline] = {}
         results: list[dict[str, Any]] = []
         observations: list[Observation] = []
         alerts: list[Alert] = []
@@ -193,7 +232,8 @@ class WatchService:
                         pass_rate=pass_rate,
                     )
                 )
-            decision = column_state.baseline.observe(pass_rate)
+            baseline = staged[column] = column_state.baseline.copy()
+            decision = baseline.observe(pass_rate)
             if decision.regressed:
                 alerts.append(
                     Alert(
@@ -208,7 +248,7 @@ class WatchService:
                             f"pass rate {pass_rate:.4f} fell below the learned "
                             f"baseline band [{decision.lower:.4f}, 1] "
                             f"(mean {decision.mean:.4f}) for "
-                            f"{column_state.baseline.hysteresis} consecutive "
+                            f"{baseline.hysteresis} consecutive "
                             "refreshes"
                         ),
                         pass_rate=pass_rate,
@@ -239,12 +279,24 @@ class WatchService:
                     "severity": severity,
                     "reason": report.reason,
                     "latency_ms": latency_ms,
-                    "baseline": column_state.baseline.status_payload(),
+                    "baseline": baseline.status_payload(),
                 }
             )
-        self.timeseries.append(observations)
+        if observations:
+            self.timeseries.append(observations)
+            _advance(state, refresh_id, now)
+        else:
+            # Nothing reaches the WAL, so the checkpoint is the commit.
+            prior = (state.refresh_id, state.last_refresh_ts, state.overdue_alerted)
+            _advance(state, refresh_id, now)
+            try:
+                self.registry.save()
+            except OSError:
+                state.refresh_id, state.last_refresh_ts, state.overdue_alerted = prior
+                raise
+        for column, baseline in staged.items():
+            state.columns[column].baseline = baseline
         self.alert_log.append(alerts)
-        self.registry.save()
         self.refreshes_total += 1
         return {
             "tenant": tenant,

@@ -2,9 +2,14 @@
 
 Every refresh of every watched column appends one :class:`Observation`
 to an NDJSON write-ahead segment; sealed segments roll up into one
-compact binary summary per UTC day.  The layout follows the v3-store
-discipline (``src/repro/index/FORMAT.md``): CRC-protected bytes,
-crash-safe atomic publish, mmap-friendly fixed-offset summaries.
+compact binary summary per UTC day.  The live WAL is also the watch
+service's per-refresh commit point: one :meth:`TimeSeriesStore.append`
+call holds one refresh's observations and costs one ``write`` + one
+``fsync``, and :class:`~repro.watch.service.WatchService` rebuilds the
+per-refresh state by replaying it over the registry checkpoint.  The
+layout follows the v3-store discipline (``src/repro/index/FORMAT.md``):
+CRC-protected bytes, crash-safe atomic publish, mmap-friendly
+fixed-offset summaries.
 
 Directory layout (under ``<state_dir>/ts/``)::
 
@@ -26,9 +31,10 @@ was fully written survives.  This mirrors the run-file discipline: a
 crash never corrupts published data, it only loses the torn record.
 
 **Rotation.**  The WAL seals when its UTC day changes or it exceeds
-``max_segment_bytes``.  Sealing renames the WAL to its immutable
-segment name (atomic on POSIX) and folds the segment's records into the
-day's binary summary, which is rewritten via temp-file +
+``max_segment_bytes``, decided once per ``append`` call, so one call's
+records never straddle two segments.  Sealing renames the WAL to its
+immutable segment name (atomic on POSIX) and folds the segment's records
+into the day's binary summary, which is rewritten via temp-file +
 ``os.replace`` — readers never observe a half-written summary.
 
 **Binary day summary (``.avws``).**  One fixed-size record per
@@ -259,6 +265,9 @@ class TimeSeriesStore:
         self._wal_day = (
             utc_day(float(self._wal_records[0]["ts"])) if self._wal_records else None
         )
+        # Recovery truncated the WAL to its valid prefix; from here on the
+        # length is tracked in memory, advanced by each append.
+        self._wal_bytes = self.wal_path.stat().st_size if self._wal_records else 0
         self._seq = self._next_seq()
 
     def _next_seq(self) -> int:
@@ -269,22 +278,31 @@ class TimeSeriesStore:
 
     # -- writes --------------------------------------------------------------
 
+    def seal_due(self, ts: float) -> bool:
+        """Whether an append stamped ``ts`` must seal the WAL first."""
+        return self._wal_day is not None and (
+            utc_day(ts) != self._wal_day
+            or self._wal_bytes >= self.max_segment_bytes
+        )
+
     def append(self, observations: Iterable[Observation]) -> None:
-        """Append observations, rotating the WAL on day change / size."""
-        for observation in observations:
-            day = utc_day(observation.ts)
-            if self._wal_day is not None and (
-                day != self._wal_day
-                or (
-                    self.wal_path.exists()
-                    and self.wal_path.stat().st_size >= self.max_segment_bytes
-                )
-            ):
-                self.seal()
-            durability.append_crc_lines(self.wal_path, [observation.to_payload()])
-            self._wal_records.append(observation.to_payload())
-            if self._wal_day is None:
-                self._wal_day = day
+        """Append observations in one ``write`` + ``fsync``.
+
+        Rotation (day change of the first observation, or size) is
+        decided once, before the write; the in-memory view advances only
+        after the append is durable, so a failed append leaves it as it was.
+        """
+        observations = list(observations)
+        if not observations:
+            return
+        ts = observations[0].ts
+        if self.seal_due(ts):
+            self.seal()
+        payloads = [observation.to_payload() for observation in observations]
+        self._wal_bytes += durability.append_crc_lines(self.wal_path, payloads)
+        self._wal_records.extend(payloads)
+        if self._wal_day is None:
+            self._wal_day = utc_day(ts)
 
     def seal(self) -> Path | None:
         """Seal the active WAL into an immutable segment + day summary."""
@@ -306,6 +324,7 @@ class TimeSeriesStore:
             stats.setdefault(observation.key(), DayStat()).fold(observation)
         write_day_summary(summary_path, stats)
         self._wal_records = []
+        self._wal_bytes = 0
         self._wal_day = None
         return segment
 
@@ -329,8 +348,12 @@ class TimeSeriesStore:
         for segment in self.segments():
             payloads, _ = durability.read_crc_lines(segment)
             out.extend(Observation.from_payload(p) for p in payloads)
-        out.extend(Observation.from_payload(p) for p in self._wal_records)
+        out.extend(self.wal_records())
         return out
+
+    def wal_records(self) -> list[Observation]:
+        """The live WAL's observations, in append order (replay input)."""
+        return [Observation.from_payload(p) for p in self._wal_records]
 
     def tail(self, limit: int) -> list[Observation]:
         """The newest ``limit`` observations (report rendering)."""

@@ -7,9 +7,9 @@ teeth: a deliberately fsync-free publish *fails* the sweep.  The second
 half is the repo's crash-consistency contract, enforced: a crash-point
 sweep per artifact family (v2 save, v3 save, run-file spill +
 consolidation, merge_many, the watch WAL/day-summary path, the watch
-registry), each asserting every possible kill point leaves a reader
-recovering pre-state, post-state, or a typed error — never silently
-serving corrupt data.
+registry, a watch refresh end to end), each asserting every possible
+kill point leaves a reader recovering pre-state, post-state, or a typed
+error — never silently serving corrupt data.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ from repro.index.store import (
     save_index,
     write_run_file,
 )
+from repro.validate.dictionary import DictionaryRule
+from repro.validate.result import InferenceResult
+from repro.watch import WatchService
 from repro.watch.registry import FeedState, WatchRegistry
 from repro.watch.timeseries import (
     Observation,
@@ -48,6 +51,45 @@ from repro.watch.timeseries import (
 )
 
 T0 = 1_720_000_000.0  # 2024-07-03, mid-day UTC
+
+WATCH_VOCAB = ("alpha", "beta", "gamma", "delta")
+
+
+def _dictionary_learner(values):
+    rule = DictionaryRule(
+        vocabulary=frozenset(WATCH_VOCAB), theta_train=0.0, train_size=len(values)
+    )
+    return InferenceResult(rule=rule, variant="test", candidates_considered=1)
+
+
+def _feed(bad: int) -> dict[str, list[str]]:
+    """One refresh payload: 40 values, the first ``bad`` of them junk."""
+    values = list(WATCH_VOCAB) * 10
+    for i in range(bad):
+        values[i] = f"###bad-{i}###"
+    return {"status": values}
+
+
+class _Clock:
+    def __init__(self, now: float):
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def _watch(root: Path, clock: _Clock) -> WatchService:
+    return WatchService(
+        root / "watch", learner=_dictionary_learner, clock=clock, perf=lambda: 0.0
+    )
+
+
+def _watch_state(service: WatchService) -> tuple[list, list]:
+    """What a restart must reproduce: status feeds + full feed payloads."""
+    return (
+        service.status()["feeds"],
+        [state.to_payload() for state in service.registry.sorted_feeds()],
+    )
 
 
 def _index(tag: str, n: int = 10) -> PatternIndex:
@@ -489,6 +531,74 @@ class TestCrashSweeps:
         assert not report.failures, report.summary()
         assert report.labels["pre"]
 
+    def test_watch_refresh_sweep(self, tmp_path):
+        # k acknowledged refreshes, then one same-day refresh (a WAL
+        # append) and one on the next UTC day (checkpoint publish, seal,
+        # day summary, append).  Bad counts vary so the EWMA, the MAD
+        # window and the hysteresis counters all move.
+        k = 6
+        bads = [0, 1, 0, 2, 0, 1, 4, 5]
+        stamps = [T0 + 60.0 * i for i in range(k + 2)] + [T0 + 86_400.0]
+
+        def setup(root: Path) -> None:
+            clock = _Clock(T0)
+            service = _watch(root, clock)
+            service.register("acme", "orders", _feed(0))
+            for i in range(1, k + 1):
+                clock.now = stamps[i]
+                service.refresh("acme", "orders", _feed(bads[i - 1]))
+
+        def workload(root: Path) -> None:
+            clock = _Clock(stamps[k])
+            service = _watch(root, clock)
+            for i in (k + 1, k + 2):
+                clock.now = stamps[i]
+                service.refresh("acme", "orders", _feed(bads[i - 1]))
+
+        # The uninterrupted reference: one process, never reopened.
+        clock = _Clock(T0)
+        reference = _watch(tmp_path, clock)
+        reference.register("acme", "orders", _feed(0))
+        expected = {}
+        for i in range(1, k + 3):
+            clock.now = stamps[i]
+            reference.refresh("acme", "orders", _feed(bads[i - 1]))
+            if i >= k:
+                expected[f"after-{i}"] = _watch_state(reference)
+
+        def check(root: Path) -> str:
+            reopened = _watch(root, _Clock(stamps[k + 2]))
+            state = _watch_state(reopened)
+            for label, reference_state in expected.items():
+                if state == reference_state:
+                    return label
+            raise AssertionError(f"reopened state matches no reference: {state}")
+
+        report = crash_point_sweep(setup, workload, check)
+        assert not report.failures, report.summary()
+        assert set(report.labels) <= set(expected)
+        # No acknowledged refresh may be lost: the kill after the last op
+        # must surface both workload refreshes.
+        (last,) = [o for o in report.outcomes if o.op == "after-last-op"]
+        assert last.label == f"after-{k + 2}"
+        assert report.labels[f"after-{k}"] and report.labels[f"after-{k + 1}"]
+
+
+class TestRefreshFilesystemOps:
+    def test_clean_refresh_is_one_append(self, tmp_path):
+        columns = {name: _feed(0)["status"] for name in ("a", "b", "c")}
+        clock = _Clock(T0)
+        service = _watch(tmp_path, clock)
+        service.register("acme", "orders", columns)
+        service.refresh("acme", "orders", columns)
+        clock.now += 60.0
+        with FaultyFS(tmp_path) as fs:
+            service.refresh("acme", "orders", columns)
+        # Three columns, one write + one fsync, and no registry publish.
+        assert [(event.op, Path(event.path).name) for event in fs.log] == [
+            ("open", "wal.ndjson"), ("write", "wal.ndjson"), ("fsync", "wal.ndjson"),
+        ]
+
 
 # -- typed ENOSPC + partial-output removal -------------------------------------
 
@@ -513,6 +623,29 @@ class TestNoSpaceHandling:
             with pytest.raises(DurabilityError):
                 append_crc_lines(wal, [{"i": 1}])
         assert wal.stat().st_size == base
+
+    def test_failed_refresh_leaves_memory_where_disk_is(self, tmp_path):
+        def run(root: Path, faulted: bool) -> WatchService:
+            service = _watch(root, _Clock(T0))
+            service.register("acme", "orders", _feed(0))
+            for bad in (0, 1, 0, 2, 0, 0):
+                service.refresh("acme", "orders", _feed(bad))
+            if faulted:
+                before = service.status()
+                plan = FaultPlan(specs=(FaultSpec("fsync", "wal.ndjson", "enospc"),))
+                with FaultyFS(root, plan):
+                    with pytest.raises(DurabilityError):
+                        service.refresh("acme", "orders", _feed(5))
+                assert service.status() == before
+            service.refresh("acme", "orders", _feed(5))  # the retry
+            return service
+
+        retried = run(tmp_path / "retried", faulted=True)
+        clean = run(tmp_path / "clean", faulted=False)
+        assert retried.status() == clean.status()
+        assert _watch_state(retried) == _watch_state(clean)
+        reopened = _watch(tmp_path / "retried", _Clock(T0))
+        assert _watch_state(reopened) == _watch_state(clean)
 
     def test_run_file_enospc_leaves_no_partial(self, tmp_path):
         plan = FaultPlan(specs=(FaultSpec("write", "*.tmp", "enospc"),))

@@ -312,10 +312,26 @@ class TestTimeSeriesStore:
         assert stat.min_pass_rate == pytest.approx(0.9)
 
     def test_rotation_on_size(self, tmp_path):
+        # Rotation is decided once per append call, so each observation
+        # gets its own call here.
         store = TimeSeriesStore(tmp_path / "ts", max_segment_bytes=256)
-        store.append([_obs(T0 + i) for i in range(20)])
+        for i in range(20):
+            store.append([_obs(T0 + i)])
         assert len(store.segments()) >= 2
         assert len(store.records()) == 20
+
+    def test_one_append_call_never_straddles_segments(self, tmp_path):
+        store = TimeSeriesStore(tmp_path / "ts", max_segment_bytes=256)
+        store.append([_obs(T0 + i) for i in range(20)])
+        assert store.segments() == []
+        assert store.wal_record_count() == 20
+        assert store.seal_due(T0 + 20.0)
+        store.append([_obs(T0 + 20.0)])
+        assert len(store.segments()) == 1
+        assert store.wal_record_count() == 1
+        # The seal reset the tracked length: a small append stays put.
+        store.append([_obs(T0 + 21.0)])
+        assert len(store.segments()) == 1
 
     def test_torn_wal_recovers_on_reopen(self, tmp_path):
         store = TimeSeriesStore(tmp_path / "ts")
@@ -439,21 +455,28 @@ class TestAlertLog:
 
 
 class TestWatchRegistry:
+    def test_refreshed_state_survives_reopen(self, tmp_path, service):
+        # registry.json is a checkpoint; the refresh itself lives in the
+        # WAL, and a reopened service replays it.
+        _register(service, interval=3600.0)
+        service.refresh("acme", "orders", {"status": good_refresh()})
+        reopened = WatchService(tmp_path / "watch")
+        state = reopened.registry.require("acme", "orders")
+        assert state.refresh_id == 1
+        assert state.columns["status"].baseline.n == 1
+
     def test_round_trip_through_disk(self, tmp_path, service):
         _register(service, interval=3600.0)
         service.refresh("acme", "orders", {"status": good_refresh()})
         reopened = WatchRegistry(tmp_path / "watch" / "registry.json")
         assert len(reopened) == 1
         state = reopened.require("acme", "orders")
-        assert state.refresh_id == 1
         assert state.interval_seconds == 3600.0
         assert state.monitored_columns() == ["status"]
         assert state.columns["note"].monitored is False
         # The reconstructed rule still validates.
         report = state.columns["status"].rule().validate(good_refresh())
         assert not report.flagged
-        # And the baseline state survived.
-        assert state.columns["status"].baseline.n == 1
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "registry.json"
@@ -624,6 +647,77 @@ class TestWatchService:
         assert len(resumed.timeseries.records()) == 4
         outcome = resumed.refresh("acme", "orders", {"status": good_refresh()})
         assert outcome["refresh_id"] == 5  # the counter resumed, not restarted
+
+    def test_refresh_commits_through_the_wal_alone(self, service, clock, monkeypatch):
+        _register(service)
+
+        def publish():
+            raise AssertionError("a same-day refresh published the registry")
+
+        monkeypatch.setattr(service.registry, "save", publish)
+        for payload in (good_refresh(), bad_refresh()):
+            clock.tick(60.0)
+            service.refresh("acme", "orders", {"status": payload})
+        assert service.timeseries.wal_record_count() == 2
+
+    def test_refresh_without_observations_publishes_the_bump(
+        self, tmp_path, service, clock
+    ):
+        _register(service)
+        clock.tick(60.0)
+        outcome = service.refresh("acme", "orders", {"note": ["x"]})
+        assert outcome["refresh_id"] == 1
+        assert service.timeseries.wal_record_count() == 0
+        reopened = WatchRegistry(tmp_path / "watch" / "registry.json")
+        assert reopened.require("acme", "orders").refresh_id == 1
+        assert reopened.require("acme", "orders").last_refresh_ts == clock.now
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_restart_reproduces_alerts_and_state(self, tmp_path, clock, seed):
+        # Warm up, then degraded runs (the first long enough to trip the
+        # hysteresis) alternating with recoveries that re-arm it.  Some
+        # seeds step hours so the WAL seals at UTC midnight, some cap the
+        # segment size; the restarted service is reopened every
+        # ``every``-th refresh and must never diverge from the other.
+        rng = random.Random(seed)
+        every = rng.randint(1, 4)
+        step = rng.choice([60.0, 3 * 3600.0])
+        segment_bytes = rng.choice([None, 2048])
+        script = [0] * 8 + [4] * rng.randint(2, 4)
+        while len(script) < 40:
+            script += [rng.choice([0, 0, 1])] * rng.randint(1, 5)
+            script += [rng.choice([3, 4, 6])] * rng.randint(1, 4)
+
+        def open_service(name: str) -> WatchService:
+            return WatchService(
+                tmp_path / name, learner=fake_learner, clock=clock, perf=clock,
+                max_segment_bytes=segment_bytes,
+            )
+
+        def feeds(service: WatchService) -> list[dict]:
+            return [state.to_payload() for state in service.registry.sorted_feeds()]
+
+        steady, restarted = open_service("steady"), open_service("restarted")
+        for service in (steady, restarted):
+            _register(service)
+        for i, bad in enumerate(script, start=1):
+            clock.tick(step)
+            payload = {"status": bad_refresh(bad=bad)}
+            expected = steady.refresh("acme", "orders", payload)
+            assert restarted.refresh("acme", "orders", payload) == expected
+            if i % every == 0:
+                restarted = open_service("restarted")
+                assert feeds(restarted) == feeds(steady)
+        kinds = [a.kind for a in steady.alerts()]
+        assert kinds.count("baseline_regression") >= 2  # tripped, re-armed, tripped
+        assert [a.to_payload() for a in restarted.alerts()] == [
+            a.to_payload() for a in steady.alerts()
+        ]
+        process_local = ("refreshes_total", "ticks_total")
+        final = {k: v for k, v in steady.status().items() if k not in process_local}
+        assert {
+            k: v for k, v in restarted.status().items() if k not in process_local
+        } == final
 
     def test_report_formats(self, service, clock):
         _register(service, interval=600.0)
