@@ -261,6 +261,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         prefetch=args.prefetch,
         variant=args.variant,
     )
+    service.warm()  # the feasible set is built before the readiness line
     limiter = TenantRateLimiter(rate=args.rate, burst=args.burst)
 
     async def _run() -> None:

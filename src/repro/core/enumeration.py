@@ -25,6 +25,26 @@ O(group_bytes), with no per-distinct-value Python loop.  The per-value
 reference implementation it must reproduce bit for bit (order and counts,
 under budget truncation too) lives in ``tests/enum_oracle.py``.
 
+Guided enumeration
+------------------
+
+A query solver keeps a pattern only if the offline index lists it with
+coverage ≥ m and FPR ≤ r (Equations 6–7), so it passes the kernel an
+:class:`EnumerationGuide` — a prefix trie over the atom keys of exactly
+those patterns — on :attr:`EnumerationConfig.guide`.  Both DFS bodies then
+skip an option whose atom key is not a child of the current trie node and
+emit a leaf only at a terminal node; option materialization,
+:func:`_reduce_to_budget` and ``min_count`` pruning are unchanged.  The
+guide is applied only when the column fits the **fallback bound**: the
+sum, over the eligible groups of both granularities, of each group's
+*unreduced* option cross product is at most ``max_patterns``.  Under that
+bound no budget (the option reduction, the DFS stop, the column budget)
+can fire, so the guided output is exactly the unguided output restricted
+to the guide's keys, in the same order.  A column over the bound is
+enumerated unguided, as if no guide had been given, and counted in
+:attr:`EnumerationGuide.fallbacks`.  The offline build never passes a
+guide.
+
 Determinism contract
 --------------------
 
@@ -65,6 +85,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
@@ -135,6 +156,67 @@ class PatternStats:
         return 1.0 - self.match_count / column_size
 
 
+class _TrieNode:
+    """One node of an :class:`EnumerationGuide`: children by atom key."""
+
+    __slots__ = ("children", "terminal")
+
+    def __init__(self) -> None:
+        self.children: dict[str, _TrieNode] = {}
+        #: Whether the atom keys from the root to here spell a whole key.
+        self.terminal = False
+
+
+class EnumerationGuide:
+    """A prefix trie over pattern keys that steers the DFS (module doc).
+
+    Keys are canonical pattern keys split on ``|``; :meth:`Atom.key
+    <repro.core.atoms.Atom.key>` escapes a literal ``|`` as ``\\p``, so the
+    split recovers the atom keys exactly.  ``token`` names the key set
+    (the solvers use the index digest, m and r): it is the guide's term in
+    :meth:`EnumerationConfig.fingerprint`, and guides compare and hash by
+    it.  The trie is immutable once built; only :attr:`fallbacks` counts.
+    """
+
+    __slots__ = ("token", "root", "n_keys", "_fallbacks", "_lock")
+
+    def __init__(self, keys: Iterable[str], token: str) -> None:
+        self.token = token
+        self.root = _TrieNode()
+        n_keys = 0
+        for key in keys:
+            node = self.root
+            for atom_key in key.split("|"):
+                child = node.children.get(atom_key)
+                if child is None:
+                    child = node.children[atom_key] = _TrieNode()
+                node = child
+            if not node.terminal:
+                node.terminal = True
+                n_keys += 1
+        self.n_keys = n_keys
+        self._fallbacks = 0
+        self._lock = threading.Lock()
+
+    @property
+    def fallbacks(self) -> int:
+        """Enumerations that exceeded the fallback bound and ran unguided."""
+        return self._fallbacks
+
+    def note_fallback(self) -> None:
+        with self._lock:
+            self._fallbacks += 1
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, EnumerationGuide) and other.token == self.token
+
+    def __hash__(self) -> int:
+        return hash(self.token)
+
+    def __repr__(self) -> str:
+        return f"EnumerationGuide(token={self.token!r}, keys={self.n_keys})"
+
+
 @dataclass(frozen=True)
 class EnumerationConfig:
     """Knobs of Algorithm 1.
@@ -169,6 +251,10 @@ class EnumerationConfig:
             adjacent digit/letter runs.  This is what gives hex identifiers,
             GUIDs and similar mixed domains a stable structure (their fine
             token signatures differ row to row).
+        guide: not a user knob.  Query solvers set it to the feasible-key
+            trie of their index and (m, r) (module doc, "Guided
+            enumeration"); ``None`` — the default, and what the offline
+            build uses — enumerates the whole space.
     """
 
     tau: int = 13
@@ -179,6 +265,7 @@ class EnumerationConfig:
     max_length_options: int = 4
     hierarchy: GeneralizationHierarchy = field(default=DEFAULT_HIERARCHY)
     enumerate_alnum_runs: bool = True
+    guide: EnumerationGuide | None = None
 
     def __post_init__(self) -> None:
         if self.tau < 1:
@@ -202,6 +289,7 @@ class EnumerationConfig:
         manifests (format v2) and as part of hypothesis-space cache keys.
         """
         h = self.hierarchy
+        guide = () if self.guide is None else (f"guide={self.guide.token}",)
         return ";".join(
             (
                 f"tau={self.tau}",
@@ -216,6 +304,7 @@ class EnumerationConfig:
                 f"alnum_fixed={int(h.use_alnum_fixed)}",
                 f"alnum_plus={int(h.use_alnum_plus)}",
                 f"max_const_length={h.max_const_length}",
+                *guide,
             )
         )
 
@@ -341,7 +430,8 @@ def enumerate_column_patterns(
 
     ``group_cache`` optionally memoizes per-signature-group results across
     columns (the offline builder's signature-sketch cache); it must have
-    been created for this exact ``config``.
+    been created for this exact ``config``.  Guided calls (a ``config``
+    with a ``guide``, which the build never passes) do not use it.
 
     A :class:`~repro.core.tokenizer.TokenizedColumn` (the vertical DP's
     sub-columns) is read from its counts and lexer facts; the output is
@@ -367,26 +457,29 @@ def enumerate_column_patterns(
         return []
     min_count = max(1, math.ceil(config.min_coverage * n))
 
+    groups: Iterable[tuple[str, bool, tuple[str, ...], dict[str, int]]]
+    groups = _eligible_groups(values, value_counts, min_count, config)
+    # A guided call materializes every group's options first: the fallback
+    # bound (module doc) is decided per column, before any DFS runs.
+    prepared: list[_PreparedGroup | None] | None = None
+    node: _TrieNode | None = None
+    if config.guide is not None:
+        groups = list(groups)
+        prepared = [
+            _prepare_group(counter, min_count, config, merge_alnum)
+            for _, merge_alnum, _, counter in groups
+        ]
+        if _fits_unreduced(prepared, config.max_patterns):
+            node = config.guide.root
+        else:
+            config.guide.note_fallback()
+
     aggregated: dict[Pattern, int] = {}
     budget = config.max_patterns
-
-    for pass_tag, signature_fn, merge_alnum in _granularities(values, config):
+    for i, (pass_tag, merge_alnum, sig, counter) in enumerate(groups):
         if budget <= 0:
             break
-        by_signature: dict[tuple[str, ...], dict[str, int]] = defaultdict(dict)
-        for v, count in value_counts.items():
-            by_signature[signature_fn(v)][v] = count
-        groups = sorted(
-            by_signature.items(), key=lambda item: (-sum(item[1].values()), item[0])
-        )
-        for sig, counter in groups:
-            if budget <= 0:
-                break
-            group_total = sum(counter.values())
-            if group_total < min_count:
-                continue  # no pattern from this group can reach the threshold
-            if len(sig) > config.tau:
-                continue  # wider than τ: recovered via vertical cuts at query time
+        if prepared is None:
             produced = _enumerate_group(
                 counter,
                 min_count,
@@ -396,19 +489,62 @@ def enumerate_column_patterns(
                 group_cache=group_cache,
                 cache_tag=(pass_tag, sig),
             )
-            for pattern, count in produced.items():
-                previous = aggregated.get(pattern)
-                if previous is None:
-                    aggregated[pattern] = count
-                    budget -= 1
-                elif count > previous:
-                    aggregated[pattern] = count
+        else:
+            group = prepared[i]
+            produced = {} if group is None else _dfs_group(group, min_count, budget, node)
+        for pattern, count in produced.items():
+            previous = aggregated.get(pattern)
+            if previous is None:
+                aggregated[pattern] = count
+                budget -= 1
+            elif count > previous:
+                aggregated[pattern] = count
 
     return [
         PatternStats(pattern=p, match_count=c)
         for p, c in aggregated.items()
         if c >= min_count
     ]
+
+
+def _eligible_groups(
+    values: Sequence[str],
+    value_counts: dict[str, int],
+    min_count: int,
+    config: EnumerationConfig,
+) -> Iterator[tuple[str, bool, tuple[str, ...], dict[str, int]]]:
+    """``(tag, merge_alnum, signature, distinct counts)`` of every group
+    that can emit a pattern, in enumeration order: granularities in turn,
+    groups by (weight desc, signature asc) within each."""
+    for pass_tag, signature_fn, merge_alnum in _granularities(values, config):
+        by_signature: dict[tuple[str, ...], dict[str, int]] = defaultdict(dict)
+        for v, count in value_counts.items():
+            by_signature[signature_fn(v)][v] = count
+        groups = sorted(
+            by_signature.items(), key=lambda item: (-sum(item[1].values()), item[0])
+        )
+        for sig, counter in groups:
+            if sum(counter.values()) < min_count:
+                continue  # no pattern from this group can reach the threshold
+            if len(sig) > config.tau:
+                continue  # wider than τ: recovered via vertical cuts at query time
+            yield pass_tag, merge_alnum, sig, counter
+
+
+def _fits_unreduced(prepared: list[_PreparedGroup | None], max_patterns: int) -> bool:
+    """The fallback bound: whether the groups' unreduced option cross
+    products sum to at most ``max_patterns``."""
+    total = 0
+    for group in prepared:
+        if group is None:
+            continue  # a position without options: the group emits nothing
+        product = 1
+        for options in group.options:
+            product *= len(options)
+            if total + product > max_patterns:
+                return False
+        total += product
+    return True
 
 
 def _granularities(
@@ -561,6 +697,29 @@ def _enumerate_group_vector(
     with the same deterministic tie-breaks, so the DFS emits the same
     patterns with the same counts even under budget truncation.
     """
+    group = _prepare_group(counter, min_count, config, merge_alnum)
+    if group is None:
+        return {}
+    return _dfs_group(group, min_count, budget, None)
+
+
+@dataclass
+class _PreparedGroup:
+    """One group's packed weights and materialized, unreduced options."""
+
+    packed: _PackedWeights
+    total: int
+    options: list[list[_Option]]
+
+
+def _prepare_group(
+    counter: dict[str, int],
+    min_count: int,
+    config: EnumerationConfig,
+    merge_alnum: bool,
+) -> _PreparedGroup | None:
+    """Materialize a group's per-position options; None when a position
+    has none (the group can emit nothing)."""
     distinct = list(counter.keys())
     group = group_token_arrays(distinct, merge_alnum=merge_alnum)
     weights = np.fromiter(counter.values(), dtype=np.int64, count=len(distinct))
@@ -576,13 +735,25 @@ def _enumerate_group_vector(
             group, j, weights, packed, option_floor, config
         )
         if not options:
-            return {}
+            return None
         options_per_position.append(options)
+    return _PreparedGroup(packed, group_total, options_per_position)
 
+
+def _dfs_group(
+    group: _PreparedGroup,
+    min_count: int,
+    budget: int,
+    guide: _TrieNode | None,
+) -> dict[Pattern, int]:
+    """Reduce a prepared group's options to ``budget`` and enumerate them,
+    steered by the trie node ``guide`` when given (module doc)."""
+    options_per_position = group.options
+    packed = group.packed
     _reduce_to_budget(options_per_position, budget)
 
     results: dict[Pattern, int] = {}
-    width = group.width
+    width = len(options_per_position)
     from_atoms_key = Pattern._from_atoms_key
     pool = _PATTERN_POOL
     pool_get = pool.get
@@ -602,6 +773,9 @@ def _enumerate_group_vector(
     # coverage weight down, so leaves never recompute it, and pattern keys
     # are joined from the per-option atom keys carried alongside the
     # prefix (Pattern._from_atoms_key skips the per-leaf re-derivation).
+    # ``node`` is the trie node of the prefix, or None when unguided: an
+    # option whose atom key is not one of its children is skipped before
+    # any mask work, and a leaf is emitted only at a terminal node.
 
     if packed.n_bytes <= _INT_DFS_MAX_BYTES:
         # Small masks: numpy's fixed per-call overhead exceeds the work, so
@@ -617,14 +791,26 @@ def _enumerate_group_vector(
         ]
 
         def dfs_int(
-            position: int, mask: int, weight: int, prefix: list[Atom], keys: list[str]
+            position: int,
+            mask: int,
+            weight: int,
+            prefix: list[Atom],
+            keys: list[str],
+            node: _TrieNode | None,
         ) -> None:
             if len(results) >= budget:
                 return
             if position == width:
-                emit(prefix, keys, weight)
+                if node is None or node.terminal:
+                    emit(prefix, keys, weight)
                 return
+            children = None if node is None else node.children
+            child = None
             for atom, atom_key, option_mask in int_options[position]:
+                if children is not None:
+                    child = children.get(atom_key)
+                    if child is None:
+                        continue
                 new_mask = mask & option_mask
                 w = 0
                 m = new_mask
@@ -637,13 +823,15 @@ def _enumerate_group_vector(
                     continue
                 prefix.append(atom)
                 keys.append(atom_key)
-                dfs_int(position + 1, new_mask, w, prefix, keys)
+                dfs_int(position + 1, new_mask, w, prefix, keys, child)
                 prefix.pop()
                 keys.pop()
                 if len(results) >= budget:
                     return
 
-        dfs_int(0, int.from_bytes(packed.full.tobytes(), "big"), group_total, [], [])
+        dfs_int(
+            0, int.from_bytes(packed.full.tobytes(), "big"), group.total, [], [], guide
+        )
         return results
 
     keyed_options = [
@@ -651,27 +839,39 @@ def _enumerate_group_vector(
     ]
 
     def dfs(
-        position: int, mask: np.ndarray, weight: int, prefix: list[Atom], keys: list[str]
+        position: int,
+        mask: np.ndarray,
+        weight: int,
+        prefix: list[Atom],
+        keys: list[str],
+        node: _TrieNode | None,
     ) -> None:
         if len(results) >= budget:
             return
         if position == width:
-            emit(prefix, keys, weight)
+            if node is None or node.terminal:
+                emit(prefix, keys, weight)
             return
+        children = None if node is None else node.children
+        child = None
         for atom, atom_key, option_mask in keyed_options[position]:
+            if children is not None:
+                child = children.get(atom_key)
+                if child is None:
+                    continue
             new_mask = mask & option_mask
             w = packed.weight(new_mask)
             if w < min_count:
                 continue
             prefix.append(atom)
             keys.append(atom_key)
-            dfs(position + 1, new_mask, w, prefix, keys)
+            dfs(position + 1, new_mask, w, prefix, keys, child)
             prefix.pop()
             keys.pop()
             if len(results) >= budget:
                 return
 
-    dfs(0, packed.full, group_total, [], [])
+    dfs(0, packed.full, group.total, [], [], guide)
     return results
 
 

@@ -29,7 +29,9 @@ import zlib
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterator
 
+from repro.core.enumeration import EnumerationGuide
 from repro.core.pattern import Pattern
 from repro.durability import publish_bytes
 
@@ -173,6 +175,24 @@ def merged_meta(a: IndexMeta, b: IndexMeta) -> IndexMeta:
 
 
 @dataclass(frozen=True)
+class FeasibleSet:
+    """The entries FMDV can ever keep under ``(m, r)`` (Equations 6–7).
+
+    ``entries`` holds every index entry with coverage ≥ ``min_coverage``
+    and FPR ≤ ``max_fpr``; ``guide`` is the prefix trie over their keys
+    that query enumeration is steered by (see
+    :mod:`repro.core.enumeration`, "Guided enumeration").  Built once per
+    index object and ``(m, r)`` by :meth:`PatternIndex.feasible_set`;
+    read-only.
+    """
+
+    min_coverage: int
+    max_fpr: float
+    entries: dict[str, IndexEntry]
+    guide: EnumerationGuide
+
+
+@dataclass(frozen=True)
 class IndexStats:
     """Aggregate index statistics backing Figure 13.
 
@@ -200,6 +220,7 @@ class PatternIndex:
         self.meta = meta
         self._stats_cache: IndexStats | None = None
         self._digest_cache: str | None = None
+        self._feasible_sets: dict[tuple[int, float], FeasibleSet] = {}
 
     # -- lookups -----------------------------------------------------------
 
@@ -225,8 +246,51 @@ class PatternIndex:
         self._ensure_all()
         return list(self._entries.items())
 
+    def iter_entries(self) -> Iterator[tuple[str, float, int]]:
+        """Stream every ``(key, fpr_sum, coverage)`` of the index.
+
+        Lazily-loaded subclasses may stream without materializing
+        (the v3 reader does); here it walks :meth:`items`.
+        """
+        for key, entry in self.items():
+            yield key, entry.fpr_sum, entry.coverage
+
     def _ensure_all(self) -> None:
         """Hook for lazily-loaded subclasses; eager indexes hold everything."""
+
+    # -- the feasible-key set ----------------------------------------------
+
+    def feasible_set(self, min_coverage: int, max_fpr: float) -> FeasibleSet:
+        """The :class:`FeasibleSet` for ``(m, r)``, built on first use.
+
+        One pass over :meth:`iter_entries`; a torn or rebuilt shard raises
+        :class:`StaleIndexError` and nothing is memoized.  The set is
+        memoized on this index object: an index is immutable, and a reload
+        creates a new object, so a set never outlives its generation.  The
+        guide token is (content digest, m, r).
+        """
+        key = (min_coverage, max_fpr)
+        cached = self._feasible_sets.get(key)
+        if cached is not None:
+            return cached
+        entries: dict[str, IndexEntry] = {}
+        for pattern_key, fpr_sum, coverage in self.iter_entries():
+            if coverage < min_coverage:
+                continue
+            entry = IndexEntry(fpr_sum=fpr_sum, coverage=coverage)
+            if entry.fpr <= max_fpr:
+                entries[pattern_key] = entry
+        token = f"{self.content_digest()}/m={min_coverage}/r={max_fpr!r}"
+        built = FeasibleSet(
+            min_coverage, max_fpr, entries, EnumerationGuide(entries, token)
+        )
+        return self._feasible_sets.setdefault(key, built)
+
+    def built_feasible_set(
+        self, min_coverage: int, max_fpr: float
+    ) -> FeasibleSet | None:
+        """The memoized set for ``(m, r)`` if one was built, without building."""
+        return self._feasible_sets.get((min_coverage, max_fpr))
 
     @property
     def storage_format(self) -> str:

@@ -1111,11 +1111,33 @@ class MmapShardedPatternIndex(PatternIndex):
     def _reader(self, i: int) -> _V3ShardReader:
         reader = self._readers[i]
         if reader is None:
-            reader = _V3ShardReader(
-                self._directory / self._shard_files[i], i, self._shard_entry_counts[i]
-            )
+            reader = self._open_reader(i)
             self._readers[i] = reader
         return reader
+
+    def _open_reader(self, i: int) -> _V3ShardReader:
+        return _V3ShardReader(
+            self._directory / self._shard_files[i], i, self._shard_entry_counts[i]
+        )
+
+    def iter_entries(self) -> Iterator[Entry]:
+        """Stream every entry off the shard files without materializing.
+
+        Each shard is mapped by a reader of its own (lookups keep theirs),
+        CRC-checked as :meth:`_ensure_all` does, walked in key order and
+        unmapped before the next one, so a whole pass holds one mapping at
+        a time and leaves ``_entries`` empty.
+        """
+        if self._materialized:
+            yield from super().iter_entries()
+            return
+        for i in range(self._n_shards):
+            reader = self._open_reader(i)
+            try:
+                reader.verify_crc()
+                yield from reader.iter_records()
+            finally:
+                reader._close()
 
     def _ensure_all(self) -> None:
         if self._materialized:

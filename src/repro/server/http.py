@@ -57,7 +57,9 @@ limit that is currently rejecting all traffic.
 
 Connections are HTTP/1.1 keep-alive; bodies arrive with
 ``Content-Length`` or as ``Transfer-Encoding: chunked`` (framing and
-bounds in :mod:`repro.server.base`).  ``SIGTERM``/``SIGINT`` drain
+bounds in :mod:`repro.server.base`).  Each column is bounded at
+admission as well (:data:`MAX_COLUMN_VALUES`, :data:`MAX_COLUMN_DISTINCT`;
+``413 column_too_large``).  ``SIGTERM``/``SIGINT`` drain
 in-flight requests before the process exits 0
 (:func:`repro.server.base.serve_with_graceful_shutdown`).
 """
@@ -95,12 +97,41 @@ from repro.validate.rule import dumps_canonical
 
 __all__ = [
     "MAX_BODY_BYTES",
+    "MAX_COLUMN_DISTINCT",
+    "MAX_COLUMN_VALUES",
     "MAX_HEADER_BYTES",
     "MAX_LINE_BYTES",
     "ValidationHTTPServer",
 ]
 
 T = TypeVar("T")
+
+#: Per-column request limits, checked at admission on ``/v1/infer``,
+#: ``/v1/validate`` and every ``/v1/infer_batch`` item (``413
+#: column_too_large``).  A column past them is refused before any work:
+#: the 64 MiB body cap alone would admit millions of values.
+MAX_COLUMN_VALUES = 100_000
+MAX_COLUMN_DISTINCT = 10_000
+
+
+def _check_column_size(values: tuple[str, ...], where: str) -> None:
+    """Refuse a column past :data:`MAX_COLUMN_VALUES` values or
+    :data:`MAX_COLUMN_DISTINCT` distinct values."""
+    if len(values) > MAX_COLUMN_VALUES:
+        raise _HTTPError(
+            413,
+            "column_too_large",
+            f"{where}has {len(values)} values; the limit is "
+            f"{MAX_COLUMN_VALUES} values per column",
+        )
+    distinct = len(set(values))
+    if distinct > MAX_COLUMN_DISTINCT:
+        raise _HTTPError(
+            413,
+            "column_too_large",
+            f"{where}has {distinct} distinct values; the limit is "
+            f"{MAX_COLUMN_DISTINCT} distinct values per column",
+        )
 
 
 class ValidationHTTPServer(BaseHTTPServer):
@@ -158,11 +189,21 @@ class ValidationHTTPServer(BaseHTTPServer):
             tenant = headers.get("x-tenant", "")
             # A batch costs one token per item, or /v1/infer_batch would
             # bypass the per-tenant limit entirely (10k inferences for
-            # one token).  The envelope is parsed once, before the
-            # limiter, and handed to the handler already decoded.
+            # one token).  Every body is parsed once, before the limiter,
+            # checked against the per-column limits and handed to the
+            # handler already decoded.
             cost = 1.0
-            if path == "/v1/infer_batch":
+            if path == "/v1/infer":
+                body = InferRequest.from_json(body)
+                _check_column_size(body.values, "the column ")
+            elif path == "/v1/validate":
+                body = ValidateRequest.from_json(body)
+                _check_column_size(body.values, "the column ")
+            elif path == "/v1/infer_batch":
                 body = BatchEnvelope.from_json(body)
+                for i, item in enumerate(body.items):
+                    if isinstance(item, InferRequest):
+                        _check_column_size(item.values, f"batch item {i} ")
                 cost = float(max(1, len(body.items)))
                 if self.rate_limiter.enabled and cost > self.rate_limiter.burst:
                     # A bucket capped at `burst` can never admit this
@@ -239,6 +280,8 @@ class ValidationHTTPServer(BaseHTTPServer):
             "generation": stats.generation,
             "invalidations": stats.invalidations,
             "index_format": stats.index_format,
+            "feasible_keys": stats.feasible_keys,
+            "guide_fallbacks": stats.guide_fallbacks,
             "rate_limited_total": self.rate_limited_total,
             "ready": not self._index_warming(),
             "tenants": self.rate_limiter.tenants(),
@@ -270,8 +313,8 @@ class ValidationHTTPServer(BaseHTTPServer):
             index_format=stats.index_format,
         ).to_json()
 
-    async def _handle_infer(self, body: bytes) -> str:
-        request = InferRequest.from_json(body)
+    async def _handle_infer(self, request: InferRequest) -> str:
+        # decoded (and size-checked) by _admit
         result = await self._call(
             self.service.infer, list(request.values), request.variant
         )
@@ -279,8 +322,8 @@ class ValidationHTTPServer(BaseHTTPServer):
             result=result, generation=self.service.stats().generation
         ).to_json()
 
-    async def _handle_validate(self, body: bytes) -> str:
-        request = ValidateRequest.from_json(body)
+    async def _handle_validate(self, request: ValidateRequest) -> str:
+        # decoded (and size-checked) by _admit
         report = await self._call(
             self.service.validate, request.rule, list(request.values)
         )

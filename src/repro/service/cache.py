@@ -1,12 +1,21 @@
 """Hypothesis-space caching for the validation service.
 
-Algorithm 1 is the only expensive step of online inference (index lookups
-are O(1) per candidate), and its output depends solely on the *multiset* of
-column values plus the enumeration knobs.  Production feeds re-submit the
-same or near-duplicate columns continuously — daily partitions of the same
+Algorithm 1 is the expensive step of online inference (candidates are
+resolved against the index's in-memory feasible-key table, one dict probe
+each), and its output depends solely on the *multiset* of column values
+plus the enumeration knobs.  Production feeds re-submit the same or
+near-duplicate columns continuously — daily partitions of the same
 pipeline, the per-segment sub-columns the vertical DP carves out of sibling
 composites — so an LRU keyed by (value-multiset digest, min_coverage, knob
 fingerprint) turns almost all of that work into a dict hit.
+
+The knob fingerprint includes the **guide term**: solvers enumerate guided
+by their index's feasible-key trie (``repro.core.enumeration``, "Guided
+enumeration"), and :meth:`EnumerationConfig.fingerprint
+<repro.core.enumeration.EnumerationConfig.fingerprint>` then ends in
+``guide=<index digest>/m=<m>/r=<r>``.  A guided space is the unguided one
+restricted to that index's feasible keys, so guided and unguided spaces —
+or spaces guided by different indexes or (m, r) — never share a key.
 
 The digest is computed from the (value, count) pairs.  The vertical DP's
 sub-columns arrive as :class:`~repro.core.tokenizer.TokenizedColumn`

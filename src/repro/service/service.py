@@ -11,6 +11,13 @@ amortizes that too.  It owns one index, one config and two caches:
 * an LRU of final :class:`InferenceResult` objects keyed by column digest
   and variant, so exact repeats are answered with a dict lookup.
 
+Every solver answers from the served index's
+:class:`~repro.index.index.FeasibleSet` for the service's ``(m, r)``: one
+``key → IndexEntry`` table plus the prefix trie that guides enumeration,
+built once per index object.  :meth:`warm` builds it up front (``serve``
+calls it before it prints ``serving on``); otherwise the first inference
+does.  The query path then makes no index lookups at all.
+
 Rule evaluation relies on the process-wide compiled-regex memoization of
 :meth:`repro.core.pattern.Pattern.compiled`; ``validate_many`` over
 thousands of columns sharing a handful of rules touches the regex
@@ -32,8 +39,9 @@ thread pool.  Per-column inference is independent, so scaling out is
 routing columns: N ``auto-validate serve`` processes behind
 :class:`repro.dist.RoundRobinClient`, each with its own service.
 
-The service object itself is cheap (solvers and caches are built lazily)
-and one instance is intended to be long-lived and shared per process.
+The service object itself is cheap (solvers, caches and the feasible set
+are built lazily) and one instance is intended to be long-lived and shared
+per process.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.api.registry import SOLVER_CLASSES as VARIANTS
 from repro.config import DEFAULT_CONFIG, AutoValidateConfig
-from repro.index.index import PatternIndex, StaleIndexError
+from repro.index.index import FeasibleSet, PatternIndex, StaleIndexError
 from repro.index.store import open_index, store_digest
 from repro.service.cache import HypothesisSpaceCache, column_digest
 from repro.validate.fmdv import FMDV, InferenceResult
@@ -69,6 +77,12 @@ class ServiceStats:
     invalidations: int = 0
     #: On-disk layout backing the served index ("memory", "v2", "v3").
     index_format: str = "memory"
+    #: Keys in the served generation's feasible set (0 until it is built).
+    feasible_keys: int = 0
+    #: Enumerations of the served generation that exceeded the guide's
+    #: fallback bound and ran unguided (a column or a vertical-DP
+    #: sub-column each).
+    guide_fallbacks: int = 0
 
     @property
     def result_hit_rate(self) -> float:
@@ -236,6 +250,15 @@ class ValidationService:
         with self._lock:
             self.variant = VARIANTS[variant].variant
 
+    def warm(self) -> FeasibleSet:
+        """Build the served index's feasible set for this service's (m, r)
+        now, instead of on the first inference; returns it.  A torn or
+        rebuilt shard raises :class:`StaleIndexError`."""
+        self._check_generation()
+        return self.index.feasible_set(
+            self.config.min_column_coverage, self.config.fpr_target
+        )
+
     # -- inference -----------------------------------------------------------
 
     def solver(self, variant: str | None = None) -> FMDV:
@@ -370,6 +393,9 @@ class ValidationService:
 
     def stats(self) -> ServiceStats:
         with self._lock:
+            feasible = self.index.built_feasible_set(
+                self.config.min_column_coverage, self.config.fpr_target
+            )
             return ServiceStats(
                 inferences=self._inferences,
                 result_cache_hits=self._result_hits,
@@ -380,6 +406,8 @@ class ValidationService:
                 generation=self._generation,
                 invalidations=self._invalidations,
                 index_format=self.index.storage_format,
+                feasible_keys=0 if feasible is None else feasible.guide.n_keys,
+                guide_fallbacks=0 if feasible is None else feasible.guide.fallbacks,
             )
 
     def clear_caches(self) -> None:

@@ -7,9 +7,15 @@ Given a query column ``C`` and the offline index over the corpus ``T``::
                   Cov_T(h) >= m
 
 The hypothesis space ``H(C)`` is enumerated from the training values
-(Algorithm 1 with full-coverage semantics) and each candidate is resolved
-against the index with a constant-time lookup — no corpus scan happens at
-query time (Section 2.4).
+(Algorithm 1 with full-coverage semantics) and no corpus scan happens at
+query time (Section 2.4).  Only patterns the index lists with coverage ≥ m
+and FPR ≤ r can ever be chosen, so a solver answers from the index's
+:class:`~repro.index.index.FeasibleSet` for its ``(m, r)`` — a
+``key → IndexEntry`` table built once per index object (on first use) —
+and enumerates guided by that set's prefix trie: the query path makes no
+index lookups, and enumerates only what can be feasible.  The guide is
+exact by construction (see :mod:`repro.core.enumeration`, "Guided
+enumeration").
 
 The module also implements CMDV, the coverage-minimizing alternative the
 paper explored and found less effective (kept for the ablation benchmark),
@@ -31,7 +37,7 @@ from repro.core.enumeration import (
     hypothesis_space,
 )
 from repro.core.pattern import Pattern
-from repro.index.index import PatternIndex
+from repro.index.index import FeasibleSet, PatternIndex
 from repro.validate.result import InferenceResult
 from repro.validate.rule import ValidationRule
 
@@ -84,6 +90,9 @@ class FMDV:
         #: near-duplicate columns — including the per-segment sub-columns
         #: of the vertical DP — skip Algorithm 1 entirely.
         self.space_cache = space_cache
+        #: (feasible set, enumeration config carrying its guide), rebuilt
+        #: whenever ``self.index`` answers with a different set.
+        self._guided: tuple[FeasibleSet, EnumerationConfig] | None = None
 
     # -- public API ----------------------------------------------------------
 
@@ -124,20 +133,19 @@ class FMDV:
 
         Feasibility is Equations 6-7: index FPR at most ``r`` and coverage at
         least ``m``.  Patterns absent from the index have no corpus evidence
-        and are discarded (their coverage is effectively zero).
+        and are discarded (their coverage is effectively zero).  Both are
+        answered by the feasible set's table, not by index lookups.
         """
-        stats = self._hypothesis_space(values, min_coverage)
+        feasible, config = self._feasible()
+        stats = self._hypothesis_space(values, min_coverage, config)
+        table = feasible.entries
         n = len(values)
         out: list[Candidate] = []
         for ps in stats:
             if ps.pattern.is_trivial():
                 continue
-            entry = self.index.lookup(ps.pattern)
+            entry = table.get(ps.pattern.key())
             if entry is None:
-                continue
-            if entry.coverage < self.config.min_column_coverage:
-                continue
-            if entry.fpr > self.config.fpr_target:
                 continue
             out.append(
                 Candidate(
@@ -149,11 +157,24 @@ class FMDV:
             )
         return out
 
-    def _hypothesis_space(self, values: Sequence[str], min_coverage: float):
+    def _feasible(self) -> tuple[FeasibleSet, EnumerationConfig]:
+        """This solver's feasible set and the enumeration config guided by it."""
+        feasible = self.index.feasible_set(
+            self.config.min_column_coverage, self.config.fpr_target
+        )
+        guided = self._guided
+        if guided is None or guided[0] is not feasible:
+            guided = (feasible, replace(self.config.enumeration, guide=feasible.guide))
+            self._guided = guided
+        return guided
+
+    def _hypothesis_space(
+        self, values: Sequence[str], min_coverage: float, config: EnumerationConfig
+    ):
         """Enumerate ``H(C)``, through the shared cache when one is wired."""
         if self.space_cache is not None:
-            return self.space_cache.get(values, min_coverage, self.config.enumeration)
-        return hypothesis_space(values, self.config.enumeration, min_coverage)
+            return self.space_cache.get(values, min_coverage, config)
+        return hypothesis_space(values, config, min_coverage)
 
     def _objective(self, candidate: Candidate) -> tuple:
         """FMDV picks the minimum-FPR candidate.

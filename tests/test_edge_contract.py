@@ -37,7 +37,7 @@ EDGES = {
             "inferences", "result_cache_hits", "result_cache_size",
             "result_hit_rate", "space_cache_hits", "space_cache_misses",
             "space_cache_size", "space_hit_rate", "generation",
-            "invalidations", "index_format",
+            "invalidations", "index_format", "feasible_keys", "guide_fallbacks",
             "rate_limited_total", "ready", "tenants", "config",
         },
     },

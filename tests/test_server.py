@@ -24,7 +24,11 @@ from repro.api.wire import (
 )
 from repro.datalake.domains import DOMAIN_REGISTRY
 from repro.index.store import save_index
-from repro.server.http import ValidationHTTPServer
+from repro.server.http import (
+    MAX_COLUMN_DISTINCT,
+    MAX_COLUMN_VALUES,
+    ValidationHTTPServer,
+)
 from repro.server.ratelimit import TenantRateLimiter, TokenBucket
 from repro.service import ValidationService
 from repro.validate.rule import ValidationRule
@@ -335,6 +339,65 @@ class TestErrors:
         )
         assert status == 400
         assert payload["code"] == "bad_request"
+
+
+class TestColumnLimits:
+    """``413 column_too_large`` at admission, naming the limit and the count."""
+
+    def _assert_refused(self, status, payload, count, limit):
+        assert status == 413
+        assert payload["code"] == "column_too_large"
+        assert str(count) in payload["message"]
+        assert str(limit) in payload["message"]
+
+    def test_infer_over_the_value_limit(self, served):
+        count = MAX_COLUMN_VALUES + 1
+        body = InferRequest(values=("a1",) * count).to_json()
+        status, payload = http(served.base_url + "/v1/infer", body)
+        self._assert_refused(status, payload, count, MAX_COLUMN_VALUES)
+
+    def test_infer_over_the_distinct_limit(self, served):
+        count = MAX_COLUMN_DISTINCT + 1
+        body = InferRequest(values=tuple(f"v{i}" for i in range(count))).to_json()
+        status, payload = http(served.base_url + "/v1/infer", body)
+        self._assert_refused(status, payload, count, MAX_COLUMN_DISTINCT)
+
+    def test_validate_over_the_distinct_limit(self, served, feed_values):
+        rule = served.server.service.infer(feed_values).rule
+        count = MAX_COLUMN_DISTINCT + 1
+        body = ValidateRequest(
+            rule=rule, values=tuple(f"v{i}" for i in range(count))
+        ).to_json()
+        status, payload = http(served.base_url + "/v1/validate", body)
+        self._assert_refused(status, payload, count, MAX_COLUMN_DISTINCT)
+
+    def test_batch_names_the_item_over_the_limit(self, served, feed_values):
+        count = MAX_COLUMN_VALUES + 1
+        body = BatchEnvelope(
+            items=(
+                InferRequest(values=tuple(feed_values)),
+                InferRequest(values=("a1",) * count),
+            )
+        ).to_json()
+        status, payload = http(served.base_url + "/v1/infer_batch", body)
+        self._assert_refused(status, payload, count, MAX_COLUMN_VALUES)
+        assert "batch item 1" in payload["message"]
+
+    def test_columns_at_the_limits_are_admitted(self, served):
+        values = tuple(f"v{i}" for i in range(MAX_COLUMN_DISTINCT))
+        values += ("v0",) * (MAX_COLUMN_VALUES - len(values))
+        body = InferRequest(values=values).to_json().encode("utf-8")
+        admitted = served.server._admit(
+            "POST", "/v1/infer", {}, body, ("127.0.0.1", 1)
+        )
+        assert admitted == InferRequest(values=values)
+
+    def test_metrics_report_the_feasible_set(self, served, feed_values):
+        http(served.base_url + "/v1/infer", InferRequest(values=tuple(feed_values)).to_json())
+        status, payload = http(served.base_url + "/metrics")
+        assert status == 200
+        assert payload["feasible_keys"] > 0
+        assert payload["guide_fallbacks"] >= 0
 
 
 class TestRateLimiting:

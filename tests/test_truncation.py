@@ -151,6 +151,20 @@ class TestIndexTruncation:
 
         _sweep_directory(path, read_via_lazy)
 
+    @pytest.mark.parametrize("fmt", ["v2", "v3"])
+    def test_feasible_set_build(self, tmp_path, fmt):
+        # The serving path's one whole-index read: a cut must refuse the
+        # set, never yield a silently partial table.  m=105 keeps 5 of
+        # the 10 entries, so the filter itself is part of "correct".
+        path = tmp_path / f"index-{fmt}"
+        save_index(_index(fmt), path, format=fmt, n_shards=2)
+
+        def feasible_entries() -> dict:
+            return open_index(path, lazy=True).feasible_set(105, 0.1).entries
+
+        assert len(feasible_entries()) == 5
+        _sweep_directory(path, feasible_entries)
+
 
 # -- run-spill files -----------------------------------------------------------
 
